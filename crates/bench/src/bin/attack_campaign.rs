@@ -31,8 +31,8 @@
 //! * *default* — every applicable (victim, attack-model) pair with
 //!   `--runs` runs each.
 //!
-//! Flags: `--seed <u64>` base seed (default 0xD5B), `--runs <n>` runs
-//! per cell for `--control`/full (default 8), `--model <name>` restrict
+//! Flags: `--seed <u64>` base seed, decimal or `0x` hex (default
+//! 0xD5B), `--runs <n>` runs per cell for `--control`/full (default 8), `--model <name>` restrict
 //! the full campaign to one attack model, `--list-models` print the
 //! model catalog and exit, `--out <path>` write the JSONL (or entropy
 //! JSON) there instead of stdout, `--no-table` suppress the coverage
@@ -51,7 +51,7 @@ use rse_attack::{
     run_campaign_with, run_trial_kind, strictly_decreasing, to_jsonl, AttackModel, AttackSpec,
     CampaignOptions, EntropyPoint, VictimStudy, DEFAULT_TRIALS,
 };
-use rse_bench::{numeric, suggest, write_atomic};
+use rse_bench::{numeric, seed, suggest, write_atomic};
 use rse_inject::FaultModel;
 use rse_sys::rerand::validate_period;
 use rse_sys::validate_max_rerun;
@@ -104,7 +104,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--adaptive" => args.mode = Mode::Adaptive,
             "--control" => args.mode = Mode::Control,
             "--entropy" => args.mode = Mode::Entropy,
-            "--seed" => args.seed = numeric("--seed", it.next())?,
+            "--seed" => args.seed = seed("--seed", it.next())?,
             "--runs" => args.runs = numeric("--runs", it.next())?,
             "--model" => {
                 let name = it.next().ok_or("--model expects a model name")?;

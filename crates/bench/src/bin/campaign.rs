@@ -26,8 +26,8 @@
 //! * *default* — every applicable (workload, fault-model) pair with
 //!   `--runs` runs each.
 //!
-//! Flags: `--seed <u64>` base seed (default 0xD5B), `--runs <n>` runs
-//! per cell for `--control`/full (default 8), `--model <name>` restrict
+//! Flags: `--seed <u64>` base seed, decimal or `0x` hex (default
+//! 0xD5B), `--runs <n>` runs per cell for `--control`/full (default 8), `--model <name>` restrict
 //! the full campaign to one fault model, `--list-models` print the
 //! model catalog and exit, `--out <path>` write the JSONL there instead
 //! of stdout, `--no-table` suppress the coverage table, `--tiered` run
@@ -39,7 +39,7 @@
 use std::process::ExitCode;
 
 use rse_attack::AttackModel;
-use rse_bench::{numeric, suggest, write_atomic};
+use rse_bench::{numeric, seed, suggest, write_atomic};
 use rse_inject::{
     coverage_table, run_campaign_with, to_jsonl, CampaignOptions, CampaignSpec, FaultModel,
     Histogram,
@@ -86,7 +86,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--smoke" => args.mode = Mode::Smoke,
             "--control" => args.mode = Mode::Control,
             "--quarantine" => args.mode = Mode::Quarantine,
-            "--seed" => args.seed = numeric("--seed", it.next())?,
+            "--seed" => args.seed = seed("--seed", it.next())?,
             "--runs" => args.runs = numeric("--runs", it.next())?,
             "--model" => {
                 let name = it.next().ok_or("--model expects a model name")?;

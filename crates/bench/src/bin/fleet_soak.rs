@@ -31,8 +31,8 @@
 //! * *default* — every node fault model with `--runs` runs each on a
 //!   `--nodes`-node fleet (`--model` narrows it to one).
 //!
-//! Flags: `--seed <u64>` base seed (default 0xF1EE7), `--nodes <n>`
-//! fleet size (default 5; 1000 under `--churn`), `--runs <n>` runs per
+//! Flags: `--seed <u64>` base seed, decimal or `0x` hex (default
+//! 0xF1EE7), `--nodes <n>` fleet size (default 5; 1000 under `--churn`), `--runs <n>` runs per
 //! cell (default 8; 1 under `--churn`), `--model <name>` restrict to
 //! one fault/churn model, `--list-models` print the model catalogs and
 //! exit, `--out <path>` write the JSONL there (crash-safe tmp+rename)
@@ -46,7 +46,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rse_bench::{numeric, suggest, write_atomic};
+use rse_bench::{numeric, seed, suggest, write_atomic};
 use rse_fleet::{
     churn_to_jsonl, run_churn, run_soak_with, ChurnCell, ChurnModel, ChurnSpec, FleetCell,
     FleetSpec, NodeFaultModel, Scheduler, SoakOptions,
@@ -99,7 +99,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--smoke" => args.mode = Mode::Smoke,
             "--control" => args.mode = Mode::Control,
             "--churn" => args.mode = Mode::Churn,
-            "--seed" => args.seed = numeric("--seed", it.next())?,
+            "--seed" => args.seed = seed("--seed", it.next())?,
             "--nodes" => args.nodes = Some(numeric("--nodes", it.next())?),
             "--runs" => args.runs = Some(numeric("--runs", it.next())?),
             "--model" => {

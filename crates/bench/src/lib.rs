@@ -121,6 +121,20 @@ pub fn numeric<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T,
         .map_err(|_| format!("{flag}: '{v}' is not a valid unsigned integer"))
 }
 
+/// Parses a `--seed` value: decimal, or hexadecimal with a `0x`/`0X`
+/// prefix (the form the binaries print their base seed in). A malformed
+/// value (`0x`, `0xZZ`, out of range) gets the same named error as
+/// [`numeric`].
+pub fn seed(flag: &str, v: Option<String>) -> Result<u64, String> {
+    let v = v.ok_or_else(|| format!("{flag} expects a value"))?;
+    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) if !hex.starts_with('+') => u64::from_str_radix(hex, 16).ok(),
+        Some(_) => None,
+        None => v.parse().ok(),
+    };
+    parsed.ok_or_else(|| format!("{flag}: '{v}' is not a valid unsigned integer"))
+}
+
 /// Edit (Levenshtein) distance between two ASCII-ish strings; used to
 /// suggest the nearest valid model name on a typo.
 fn edit_distance(a: &str, b: &str) -> usize {
@@ -227,5 +241,39 @@ mod tests {
             numeric::<u32>("--runs", Some("x".into())),
             Err("--runs: 'x' is not a valid unsigned integer".into())
         );
+    }
+
+    #[test]
+    fn seed_accepts_decimal_and_prefixed_hex() {
+        assert_eq!(seed("--seed", Some("3419".into())), Ok(0xD5B));
+        assert_eq!(seed("--seed", Some("0xD5B".into())), Ok(0xD5B));
+        assert_eq!(seed("--seed", Some("0Xd5b".into())), Ok(0xD5B));
+        assert_eq!(
+            seed("--seed", Some("0x4E1D0C4700000000".into())),
+            Ok(0x4E1D_0C47_0000_0000)
+        );
+        assert_eq!(
+            seed("--seed", Some("0xFFFFFFFFFFFFFFFF".into())),
+            Ok(u64::MAX)
+        );
+        assert_eq!(seed("--seed", None), Err("--seed expects a value".into()));
+    }
+
+    #[test]
+    fn seed_names_the_flag_on_malformed_hex() {
+        for bad in [
+            "0x",
+            "0xZZ",
+            "0x10000000000000000",
+            "0x+5",
+            "0x-5",
+            "x5",
+            "18446744073709551616",
+        ] {
+            assert_eq!(
+                seed("--seed", Some(bad.into())),
+                Err(format!("--seed: '{bad}' is not a valid unsigned integer"))
+            );
+        }
     }
 }

@@ -7,12 +7,13 @@ use crate::ioq::{Ioq, IoqEntryKind, IoqFault};
 use crate::mau::Mau;
 use crate::module::{ChkDispatch, Module, ModuleCtx, Verdict};
 use crate::queues::{ExecuteOutEntry, FetchOutEntry, InputQueues};
+use crate::rob_table::RobTable;
 use crate::watchdog::{SafeModeCause, Watchdog};
 use rse_isa::chk::{ops, ChkSpec};
 use rse_isa::{Inst, ModuleId};
 use rse_mem::MemorySystem;
 use rse_pipeline::{CoProcessor, CommitGate, CoprocException, DispatchInfo, ExecuteInfo, RobId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Base of the synthetic ROB-id range used for quarantine self-test
 /// probes (one sentinel id per module slot). Guest instructions are
@@ -147,21 +148,22 @@ pub struct Engine {
     /// Scheduled IOQ writes: (visible_at, rob, error).
     pending_ioq: Vec<(u64, RobId, bool)>,
     exceptions: VecDeque<CoprocException>,
-    chk_meta: HashMap<RobId, ChkSpec>,
+    chk_meta: RobTable<ChkSpec>,
     chk_fault: Option<ChkFault>,
     /// ROB ids whose CHECK was force-NOP'd by the per-module output
     /// multiplexer (module quarantined/disabled at dispatch or while the
     /// entry was in flight).
-    nop_chks: HashSet<RobId>,
+    nop_chks: RobTable<()>,
     /// In-flight quarantine self-test probes, one slot per module.
     probes: [Option<ProbeFlight>; ModuleId::SLOTS],
     /// Scheduled module-state corruptions: (module, at_cycle, seed).
     module_corruptions: Vec<(ModuleId, u64, u64)>,
     stats: RseStats,
     /// Cached: is any module slot enabled? When false the engine takes a
-    /// fast path that skips input-queue and IOQ bookkeeping for non-CHECK
+    /// fast path that skips input-queue and IOQ latching for non-CHECK
     /// instructions (the latching is architecturally unobservable with no
-    /// module consuming it).
+    /// module consuming it); commit and squash still free what an earlier
+    /// instruction latched.
     any_enabled: bool,
 }
 
@@ -192,9 +194,9 @@ impl Engine {
             pending_chk: VecDeque::new(),
             pending_ioq: Vec::new(),
             exceptions: VecDeque::new(),
-            chk_meta: HashMap::new(),
+            chk_meta: RobTable::new(),
             chk_fault: None,
-            nop_chks: HashSet::new(),
+            nop_chks: RobTable::new(),
             probes: [None; ModuleId::SLOTS],
             module_corruptions: Vec::new(),
             stats: RseStats::default(),
@@ -467,7 +469,7 @@ impl Engine {
                     // healed module is not immediately re-charged with
                     // their (inevitable) timeouts.
                     for rob in self.ioq.incomplete_for(id) {
-                        self.nop_chks.insert(rob);
+                        self.nop_chks.insert(rob, ());
                     }
                 }
                 Some(false) => {
@@ -609,7 +611,7 @@ impl CoProcessor for Engine {
                 // The module is quarantined/disabled by the containment
                 // multiplexer: the CHECK commits as a NOP (constant `10`)
                 // and the module never sees it.
-                self.nop_chks.insert(info.rob);
+                self.nop_chks.insert(info.rob, ());
                 self.ioq.allocate(now, info.rob, IoqEntryKind::Plain);
             } else {
                 // Enable/disable requests and CHECKs to disabled/absent
@@ -655,27 +657,25 @@ impl CoProcessor for Engine {
             }
         }
         // Enable/disable becomes architectural at commit.
-        if !self.chk_meta.is_empty() {
-            if let Some(spec) = self.chk_meta.remove(&rob) {
-                match spec.op {
-                    ops::ENABLE => {
-                        self.enabled[spec.module.index()] = true;
-                        self.any_enabled = true;
-                        self.stats.enables += 1;
-                    }
-                    ops::DISABLE => {
-                        self.enabled[spec.module.index()] = false;
-                        self.any_enabled = self.enabled.iter().any(|e| *e);
-                        self.stats.disables += 1;
-                    }
-                    _ => {}
+        if let Some(spec) = self.chk_meta.remove(rob) {
+            match spec.op {
+                ops::ENABLE => {
+                    self.enabled[spec.module.index()] = true;
+                    self.any_enabled = true;
+                    self.stats.enables += 1;
                 }
+                ops::DISABLE => {
+                    self.enabled[spec.module.index()] = false;
+                    self.any_enabled = self.enabled.iter().any(|e| *e);
+                    self.stats.disables += 1;
+                }
+                _ => {}
             }
         }
         // Containment bookkeeping: count mux-forced NOP commits, and let
         // the watchdog reset a module's symptom windows on a clean,
         // module-written passing commit.
-        if self.nop_chks.remove(&rob) {
+        if self.nop_chks.remove(rob).is_some() {
             self.stats.chk_nop_committed += 1;
         } else if let Some((kind, wrote, check)) = self.ioq.entry_state(rob) {
             if let Some(m) = kind_module(kind) {
@@ -688,27 +688,24 @@ impl CoProcessor for Engine {
                 }
             }
         }
-        if !self.any_enabled {
-            self.ioq.free(rob);
-            return;
+        // With no module enabled new instructions are not latched, but
+        // one dispatched before the last module was disabled still holds
+        // entries: free them on this path too.
+        if self.any_enabled {
+            self.for_each_module(now, mem, false, |m, ctx| m.on_commit(rob, ctx));
         }
-        self.for_each_module(now, mem, false, |m, ctx| m.on_commit(rob, ctx));
         self.queues.retire(rob, false);
         self.ioq.free(rob);
     }
 
     fn on_squash(&mut self, now: u64, rob: RobId, mem: &mut MemorySystem) {
-        if !self.any_enabled {
-            if !self.chk_meta.is_empty() {
-                self.chk_meta.remove(&rob);
-            }
-            return;
-        }
-        self.chk_meta.remove(&rob);
-        self.nop_chks.remove(&rob);
+        self.chk_meta.remove(rob);
+        self.nop_chks.remove(rob);
         self.pending_chk.retain(|p| p.chk.rob != rob);
         self.pending_ioq.retain(|(_, r, _)| *r != rob);
-        self.for_each_module(now, mem, false, |m, ctx| m.on_squash(rob, ctx));
+        if self.any_enabled {
+            self.for_each_module(now, mem, false, |m, ctx| m.on_squash(rob, ctx));
+        }
         self.queues.retire(rob, true);
         self.ioq.free(rob);
     }
@@ -725,13 +722,13 @@ impl CoProcessor for Engine {
         // Per-module output multiplexer (§3.4): a CHECK owned by a
         // quarantined/disabled module is forced to `10` and commits as a
         // NOP, whatever its real bits say.
-        if self.nop_chks.contains(&rob) {
+        if self.nop_chks.contains(rob) {
             return CommitGate::PassNop;
         }
         let src = self.ioq.entry_kind(rob).and_then(kind_module);
         if let Some(m) = src {
             if self.watchdog.module_down(m) {
-                self.nop_chks.insert(rob);
+                self.nop_chks.insert(rob, ());
                 return CommitGate::PassNop;
             }
         }
@@ -751,7 +748,7 @@ impl CoProcessor for Engine {
                     if self.watchdog.module_down(m) {
                         // The burst quarantined the module: the mux now
                         // forces its output to `10`.
-                        self.nop_chks.insert(rob);
+                        self.nop_chks.insert(rob, ());
                         return CommitGate::PassNop;
                     }
                 }
@@ -765,7 +762,7 @@ impl CoProcessor for Engine {
                         self.watchdog.record_premature_pass(now, src);
                         if let Some(m) = src {
                             if self.watchdog.module_down(m) {
-                                self.nop_chks.insert(rob);
+                                self.nop_chks.insert(rob, ());
                                 return CommitGate::PassNop;
                             }
                         }
@@ -781,23 +778,20 @@ impl CoProcessor for Engine {
         if !self.any_enabled {
             return;
         }
-        // Apply scheduled module-state corruptions (fault injection).
-        if !self.module_corruptions.is_empty() {
-            let due: Vec<(ModuleId, u64, u64)> = self
-                .module_corruptions
-                .iter()
-                .copied()
-                .filter(|(_, at, _)| *at <= now)
-                .collect();
-            self.module_corruptions.retain(|(_, at, _)| *at > now);
-            for (id, _, seed) in due {
-                if let Some(module) = self.slots[id.index()].as_deref_mut() {
-                    if module.corrupt_state(seed) {
-                        self.stats.module_corruptions_applied += 1;
-                    }
+        // Apply scheduled module-state corruptions (fault injection), in
+        // schedule order.
+        let (slots, stats) = (&mut self.slots, &mut self.stats);
+        self.module_corruptions.retain(|&(id, at, seed)| {
+            if at > now {
+                return true;
+            }
+            if let Some(module) = slots[id.index()].as_deref_mut() {
+                if module.corrupt_state(seed) {
+                    stats.module_corruptions_applied += 1;
                 }
             }
-        }
+            false
+        });
         // Deliver CHECKs whose Fetch_Out scan delay has elapsed. A
         // quarantined module is disconnected from the scan: its CHECKs
         // are dropped here and their IOQ entries NOP at commit.
@@ -817,25 +811,24 @@ impl CoProcessor for Engine {
         // Modules advance their internal pipelines (including
         // quarantined ones, so self-test probes get answered).
         self.for_each_module(now, mem, false, |m, ctx| m.tick(ctx));
-        // Apply module results whose broadcast delay has elapsed. Writes
-        // to the probe sentinel ROB range are self-test responses and are
-        // routed to the probe bookkeeping instead of the IOQ.
-        let due: Vec<(u64, RobId, bool)> = self
-            .pending_ioq
-            .iter()
-            .copied()
-            .filter(|(at, ..)| *at <= now)
-            .collect();
-        self.pending_ioq.retain(|(at, ..)| *at > now);
-        for (_, rob, error) in due {
+        // Apply module results whose broadcast delay has elapsed, in the
+        // order they were written. Writes to the probe sentinel ROB range
+        // are self-test responses and are routed to the probe bookkeeping
+        // instead of the IOQ.
+        let (probes, ioq) = (&mut self.probes, &mut self.ioq);
+        self.pending_ioq.retain(|&(at, rob, error)| {
+            if at > now {
+                return true;
+            }
             if let Some(slot) = probe_slot(rob) {
-                if let Some(flight) = self.probes.get_mut(slot).and_then(|f| f.as_mut()) {
+                if let Some(flight) = probes.get_mut(slot).and_then(|f| f.as_mut()) {
                     flight.response = Some(if error { Verdict::Fail } else { Verdict::Pass });
                 }
             } else {
-                self.ioq.complete(now, rob, error);
+                ioq.complete(now, rob, error);
             }
-        }
+            false
+        });
         // Self-checking: per-module timeout attribution and quiet decay.
         self.watchdog.tick(now, &self.ioq);
         // Probe lifecycle (suppressed entirely in global safe mode).
@@ -1111,5 +1104,107 @@ mod tests {
         let m: &CountingModule = engine.module_ref(SLOT9).unwrap();
         assert_eq!(m.last_operands, [0x1234, 0x5678]);
         assert_eq!(m.last_param, 9);
+    }
+
+    /// A module that overrides nothing: only the engine's own
+    /// bookkeeping runs.
+    struct IdleModule;
+
+    impl Module for IdleModule {
+        fn id(&self) -> ModuleId {
+            SLOT9
+        }
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+        fn on_chk(&mut self, _chk: &ChkDispatch, _ctx: &mut ModuleCtx<'_>) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn disable_then_reenable_leaves_no_stale_entries() {
+        // The DISABLE turns the last module off at dispatch, while the
+        // loop's tail is still in flight: those instructions commit on
+        // the engine's no-module fast path, which must still free their
+        // input-queue and IOQ entries. Otherwise they accumulate across
+        // disable/enable rounds until a queue overflows.
+        let mut engine = Engine::new(RseConfig::default());
+        engine.install(Box::new(IdleModule));
+        let cpu = run(
+            &mut engine,
+            r#"
+            main:   li r9, 12
+                    li r10, 0
+            round:  chk icm, nblk, 0, 0
+                    li r8, 0
+            loop:   addi r8, r8, 1
+                    bne r8, r9, loop
+                    addi r11, r8, 1
+                    addi r12, r11, 1
+                    chk icm, nblk, 1, 0
+                    addi r10, r10, 1
+                    bne r10, r9, round
+                    chk icm, nblk, 0, 0
+                    halt
+            "#,
+        );
+        assert_eq!(cpu.regs()[8], 12);
+        assert_eq!(cpu.regs()[10], 12);
+        assert_eq!(cpu.regs()[12], 14);
+        assert!(engine.is_enabled(SLOT9));
+        assert_eq!(engine.stats().enables, 13);
+        assert_eq!(engine.stats().disables, 12);
+        assert_eq!(engine.ioq().occupancy(), 0);
+        assert!(engine.queues.fetch_out.is_empty());
+        assert!(engine.queues.regfile_data.is_empty());
+        assert!(engine.queues.execute_out.is_empty());
+        assert!(engine.queues.memory_out.is_empty());
+    }
+
+    #[test]
+    fn squash_after_disable_frees_latched_entries() {
+        // The squash side of the same fast path, driven through the tap
+        // interface: entries latched while the module was enabled are
+        // freed when their instructions are squashed after a host-side
+        // disable.
+        let mut engine = Engine::new(RseConfig::default());
+        engine.install(Box::new(IdleModule));
+        engine.enable(SLOT9);
+        let mut mem = MemorySystem::new(MemConfig::with_framework());
+        for i in 0..4 {
+            let info = DispatchInfo {
+                rob: RobId(i),
+                pc: 4 * i as u32,
+                word: 0,
+                inst: Inst::Nop,
+                operands: [0, 0],
+                wrong_path: false,
+                injected: false,
+            };
+            engine.on_dispatch(0, &info, &mut mem);
+            let done = ExecuteInfo {
+                rob: RobId(i),
+                result: 0,
+                eff_addr: None,
+                loaded: Some(7),
+            };
+            engine.on_execute(1, &done, &mut mem);
+        }
+        assert_eq!(engine.ioq().occupancy(), 4);
+        engine.disable(SLOT9);
+        for i in (0..4).rev() {
+            engine.on_squash(2, RobId(i), &mut mem);
+        }
+        assert_eq!(engine.ioq().occupancy(), 0);
+        assert!(engine.queues.fetch_out.is_empty());
+        assert!(engine.queues.regfile_data.is_empty());
+        assert!(engine.queues.execute_out.is_empty());
+        assert!(engine.queues.memory_out.is_empty());
+        assert_eq!(engine.queues.squashes_seen, 4);
     }
 }

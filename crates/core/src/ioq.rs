@@ -15,9 +15,9 @@
 //! transition, and whether a module (as opposed to a stuck-at fault)
 //! produced the bits.
 
+use crate::rob_table::RobTable;
 use rse_isa::ModuleId;
 use rse_pipeline::{CommitGate, RobId};
-use std::collections::HashMap;
 
 /// What kind of instruction an IOQ entry was allocated for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,7 +85,7 @@ struct IoqEntry {
 /// The Instruction Output Queue.
 #[derive(Debug, Clone, Default)]
 pub struct Ioq {
-    entries: HashMap<RobId, IoqEntry>,
+    entries: RobTable<IoqEntry>,
     capacity: usize,
     fault: Option<IoqFault>,
     /// A stuck-at fault confined to the output bits of one module's
@@ -110,6 +110,7 @@ impl Ioq {
     /// Creates an IOQ with `capacity` entries (the ROB size).
     pub fn new(capacity: usize) -> Ioq {
         Ioq {
+            entries: RobTable::with_capacity(capacity),
             capacity,
             ..Ioq::default()
         }
@@ -194,7 +195,7 @@ impl Ioq {
     /// fast path) writes the result bits for `rob`: `error` selects the
     /// `check` bit, and `checkValid` is set.
     pub fn complete(&mut self, now: u64, rob: RobId, error: bool) {
-        if let Some(e) = self.entries.get_mut(&rob) {
+        if let Some(e) = self.entries.get_mut(rob) {
             if !e.check_valid {
                 e.valid_set_at = Some(now);
             }
@@ -209,14 +210,14 @@ impl Ioq {
 
     /// Frees the entry for a committed or squashed instruction.
     pub fn free(&mut self, rob: RobId) {
-        self.entries.remove(&rob);
+        self.entries.remove(rob);
     }
 
     /// Reads the commit gate for `rob`, applying any injected stuck-at
     /// fault to the observed bits (the fault sits on the output wires to
     /// the commit unit, exactly as in Table 2).
     pub fn gate(&self, rob: RobId) -> CommitGate {
-        let Some(e) = self.entries.get(&rob) else {
+        let Some(e) = self.entries.get(rob) else {
             // Untracked instruction (allocated before the engine attached):
             // behaves like `10`.
             return CommitGate::Pass;
@@ -245,32 +246,26 @@ impl Ioq {
     /// exactly how §3.4 detects a stuck-at-0 `checkValid` (it looks like
     /// a module that never makes progress).
     ///
-    /// Entries come out in ascending ROB order, not hash-map order: when
-    /// several modules time out in the same cycle, the anomaly charge
-    /// sequence (and hence the health state machine's event order) must
-    /// not depend on `HashMap` iteration.
+    /// Entries come out in ascending ROB order, the order the table
+    /// keeps them in: when several modules time out in the same cycle,
+    /// the anomaly charge sequence (and hence the health state machine's
+    /// event order) is fixed by program order.
     pub fn watchdog_view(
         &self,
     ) -> impl Iterator<Item = (RobId, IoqEntryKind, u64, bool, bool)> + '_ {
-        let mut view: Vec<_> = self
-            .entries
-            .iter()
-            .map(|(rob, e)| {
-                let valid = match self.effective_fault(e.kind) {
-                    Some(IoqFault::ValidStuck0) => false,
-                    Some(IoqFault::ValidStuck1) => true,
-                    _ => e.check_valid,
-                };
-                (*rob, e.kind, e.allocated_at, valid, e.module_wrote)
-            })
-            .collect();
-        view.sort_unstable_by_key(|&(rob, ..)| rob);
-        view.into_iter()
+        self.entries.iter().map(|(rob, e)| {
+            let valid = match self.effective_fault(e.kind) {
+                Some(IoqFault::ValidStuck0) => false,
+                Some(IoqFault::ValidStuck1) => true,
+                _ => e.check_valid,
+            };
+            (rob, e.kind, e.allocated_at, valid, e.module_wrote)
+        })
     }
 
     /// The kind of a live entry.
     pub fn entry_kind(&self, rob: RobId) -> Option<IoqEntryKind> {
-        self.entries.get(&rob).map(|e| e.kind)
+        self.entries.get(rob).map(|e| e.kind)
     }
 
     /// Raw `(kind, module_wrote, check)` of a live entry — the
@@ -278,23 +273,21 @@ impl Ioq {
     /// commits, NOP-mux accounting).
     pub fn entry_state(&self, rob: RobId) -> Option<(IoqEntryKind, bool, bool)> {
         self.entries
-            .get(&rob)
+            .get(rob)
             .map(|e| (e.kind, e.module_wrote, e.check))
     }
 
     /// Live CHECK entries of `module` whose result was never written by
     /// the module. When a module heals out of quarantine these stale
     /// entries would stall commit forever (their CHECKs were dropped
-    /// while decoupled), so the engine force-NOPs them.
+    /// while decoupled), so the engine force-NOPs them. Ascending ROB
+    /// order.
     pub fn incomplete_for(&self, module: ModuleId) -> Vec<RobId> {
-        let mut robs: Vec<RobId> = self
-            .entries
+        self.entries
             .iter()
             .filter(|(_, e)| entry_module(e.kind) == Some(module) && !e.module_wrote)
-            .map(|(rob, _)| *rob)
-            .collect();
-        robs.sort_unstable();
-        robs
+            .map(|(rob, _)| rob)
+            .collect()
     }
 }
 

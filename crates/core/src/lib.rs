@@ -34,6 +34,11 @@
 //! * the **hardware cost model** ([`hardware_cost`]) — the paper's
 //!   footnote-4 flip-flop and gate-count estimates, parameterized.
 //!
+//! Every per-instruction structure above (input queues, IOQ, watchdog
+//! marks) and the modules' pending-operation maps are [`RobTable`]s:
+//! small tables kept in ascending [`RobId`](rse_pipeline::RobId) order,
+//! O(1) at the dispatch, commit and squash ends.
+//!
 //! Modules operate in one of two modes (§3, Figure 2): **synchronous**
 //! (blocking CHECK — the pipeline may not commit the instruction until
 //! the module completes) and **asynchronous** (non-blocking CHECK — the
@@ -63,6 +68,7 @@ pub mod ioq;
 pub mod mau;
 pub mod module;
 pub mod queues;
+mod rob_table;
 pub mod testutil;
 pub mod watchdog;
 
@@ -72,4 +78,5 @@ pub use health::{AnomalyKind, HealthConfig, HealthEvent, HealthState, ModuleHeal
 pub use ioq::{Ioq, IoqEntryKind, IoqFault};
 pub use mau::{Mau, MauOp, MauRequest};
 pub use module::{ChkDispatch, Module, ModuleCtx, Verdict};
+pub use rob_table::RobTable;
 pub use watchdog::{SafeModeCause, Watchdog, WatchdogConfig};

@@ -2,13 +2,14 @@
 //!
 //! Each queue has one entry per reorder-buffer slot, indexed by the
 //! instruction's unique identifier (the paper uses the ROB entry number;
-//! we use the dispatch sequence [`RobId`]). `Commit_Out` carries the
-//! commit/squash indications used to free entries in the other queues —
-//! modeled here as the `retire` operation plus counters.
+//! we use the dispatch sequence [`RobId`], stored in a [`RobTable`]).
+//! `Commit_Out` carries the commit/squash indications used to free
+//! entries in the other queues — modeled here as the `retire` operation
+//! plus counters.
 
+use crate::rob_table::RobTable;
 use rse_isa::Inst;
 use rse_pipeline::RobId;
-use std::collections::HashMap;
 
 /// One entry of the `Fetch_Out` queue: the fetched instruction as the
 /// pipeline saw it.
@@ -39,7 +40,7 @@ pub struct ExecuteOutEntry {
 #[derive(Debug)]
 pub struct InputQueue<T> {
     name: &'static str,
-    entries: HashMap<RobId, T>,
+    entries: RobTable<T>,
     capacity: usize,
     /// Total entries ever written.
     pub writes: u64,
@@ -52,7 +53,7 @@ impl<T> InputQueue<T> {
     pub fn new(name: &'static str, capacity: usize) -> InputQueue<T> {
         InputQueue {
             name,
-            entries: HashMap::new(),
+            entries: RobTable::with_capacity(capacity),
             capacity,
             writes: 0,
             high_water: 0,
@@ -72,7 +73,7 @@ impl<T> InputQueue<T> {
     /// in-flight instructions.
     pub fn insert(&mut self, rob: RobId, value: T) {
         assert!(
-            self.entries.len() < self.capacity || self.entries.contains_key(&rob),
+            self.entries.len() < self.capacity || self.entries.contains(rob),
             "{} queue overflow",
             self.name
         );
@@ -83,12 +84,12 @@ impl<T> InputQueue<T> {
 
     /// Reads the entry for `rob`.
     pub fn get(&self, rob: RobId) -> Option<&T> {
-        self.entries.get(&rob)
+        self.entries.get(rob)
     }
 
     /// Frees the entry for `rob` (driven by `Commit_Out`).
     pub fn remove(&mut self, rob: RobId) -> Option<T> {
-        self.entries.remove(&rob)
+        self.entries.remove(rob)
     }
 
     /// Current occupancy.
@@ -102,12 +103,10 @@ impl<T> InputQueue<T> {
     }
 
     /// Iterates over `(rob, entry)` pairs (the modules' scan mechanism)
-    /// in ascending ROB order — module scans must behave identically
-    /// run to run, so hash-map iteration order never leaks out.
+    /// in ascending ROB order, the order the table keeps them in, so
+    /// module scans behave identically run to run.
     pub fn iter(&self) -> impl Iterator<Item = (RobId, &T)> {
-        let mut view: Vec<_> = self.entries.iter().map(|(k, v)| (*k, v)).collect();
-        view.sort_unstable_by_key(|&(k, _)| k);
-        view.into_iter()
+        self.entries.iter()
     }
 }
 

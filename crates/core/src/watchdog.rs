@@ -27,9 +27,10 @@
 
 use crate::health::{AnomalyKind, HealthConfig, HealthEvent, HealthState, ModuleHealth};
 use crate::ioq::{Ioq, IoqEntryKind};
+use crate::rob_table::RobTable;
 use rse_isa::ModuleId;
 use rse_pipeline::RobId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Watchdog parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +135,7 @@ pub struct Watchdog {
     last_timeout_rob: [Option<RobId>; ModuleId::SLOTS],
     /// Last cycle at which a still-live entry was charged a timeout, so
     /// the timer re-arms instead of firing every cycle.
-    timeout_marks: HashMap<RobId, u64>,
+    timeout_marks: RobTable<u64>,
     hang_fired: bool,
     /// Total global safe-mode entries (0 or 1 per run; kept as a counter
     /// for the fault-injection campaign's bookkeeping).
@@ -158,7 +159,7 @@ impl Watchdog {
             module_flushes: std::array::from_fn(|_| VecDeque::new()),
             module_prematures: [0; ModuleId::SLOTS],
             last_timeout_rob: [None; ModuleId::SLOTS],
-            timeout_marks: HashMap::new(),
+            timeout_marks: RobTable::new(),
             hang_fired: false,
             trips: 0,
             hangs: 0,
@@ -362,10 +363,11 @@ impl Watchdog {
         if self.safe_mode.is_some() {
             return;
         }
-        let mut live: Vec<RobId> = Vec::new();
+        // Charges are applied after the scan, so every entry is judged
+        // against the health states the cycle started with. The list
+        // allocates only when a timeout actually fires.
         let mut fired: Vec<(ModuleId, RobId)> = Vec::new();
         for (rob, kind, allocated_at, check_valid, _wrote) in ioq.watchdog_view() {
-            live.push(rob);
             let IoqEntryKind::BlockingChk(id) = kind else {
                 continue;
             };
@@ -374,11 +376,7 @@ impl Watchdog {
             }
             // Re-arming timer: charge at `allocated_at + timeout + 1`,
             // then again every `timeout` cycles while still stuck.
-            let armed_since = self
-                .timeout_marks
-                .get(&rob)
-                .copied()
-                .unwrap_or(allocated_at);
+            let armed_since = self.timeout_marks.get(rob).copied().unwrap_or(allocated_at);
             if now.saturating_sub(armed_since) > self.config.timeout {
                 fired.push((id, rob));
             }
@@ -389,7 +387,8 @@ impl Watchdog {
             self.anomaly(id, now, AnomalyKind::Timeout);
         }
         if !self.timeout_marks.is_empty() {
-            self.timeout_marks.retain(|rob, _| live.contains(rob));
+            self.timeout_marks
+                .retain(|rob, _| ioq.entry_kind(rob).is_some());
         }
         // Quiet decay: a Suspect slot with no anomalies for a full decay
         // window returns to Healthy.
@@ -732,8 +731,8 @@ mod tests {
     fn same_cycle_multi_module_timeouts_charge_in_rob_order() {
         // Satellite regression: when several modules' blocking CHECKs
         // time out in the same cycle, the charge order is ascending ROB
-        // order — never HashMap iteration order. Allocate in descending
-        // ROB order to stress it.
+        // order, whatever order the entries were allocated in. Allocate
+        // in descending ROB order to stress it.
         let run = || {
             let mut wd = wd();
             wd.note_installed(MLR);

@@ -39,12 +39,12 @@
 //! retry and exponential backoff mirroring the per-module health machine
 //! in `rse_core::health`.
 
-use rse_core::{ChkDispatch, Module, ModuleCtx, Verdict};
+use rse_core::{ChkDispatch, Module, ModuleCtx, RobTable, Verdict};
 use rse_isa::chk::ops;
 use rse_isa::ModuleId;
 use rse_pipeline::RobId;
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// An identifier of a monitored entity (process/thread/OS), as carried in
 /// the CHECK instruction's 16-bit parameter.
@@ -229,7 +229,7 @@ enum PendingOp {
 pub struct Ahbm {
     config: AhbmConfig,
     entities: BTreeMap<EntityId, EntityState>,
-    pending: HashMap<RobId, PendingOp>,
+    pending: RobTable<PendingOp>,
     failed: Vec<EntityId>,
     next_sample: u64,
     stats: AhbmStats,
@@ -245,7 +245,7 @@ impl Ahbm {
         Ahbm {
             config,
             entities: BTreeMap::new(),
-            pending: HashMap::new(),
+            pending: RobTable::new(),
             failed: Vec::new(),
             next_sample: 0,
             stats: AhbmStats::default(),
@@ -376,7 +376,7 @@ impl Module for Ahbm {
     }
 
     fn on_commit(&mut self, rob: RobId, ctx: &mut ModuleCtx<'_>) {
-        let Some(op) = self.pending.remove(&rob) else {
+        let Some(op) = self.pending.remove(rob) else {
             return;
         };
         match op {
@@ -387,7 +387,7 @@ impl Module for Ahbm {
     }
 
     fn on_squash(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
-        self.pending.remove(&rob);
+        self.pending.remove(rob);
     }
 
     fn tick(&mut self, ctx: &mut ModuleCtx<'_>) {

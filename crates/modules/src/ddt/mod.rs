@@ -24,13 +24,12 @@ mod pst;
 pub use ddm::DependencyMatrix;
 pub use pst::{transition, PageOwners, PageStatusTable, ThreadId, TransitionActions};
 
-use rse_core::{ChkDispatch, MauOp, MauRequest, Module, ModuleCtx, Verdict};
+use rse_core::{ChkDispatch, MauOp, MauRequest, Module, ModuleCtx, RobTable, Verdict};
 use rse_isa::chk::ops;
 use rse_isa::layout::{page_base, page_id, PAGE_SIZE};
 use rse_isa::{InstClass, ModuleId};
 use rse_pipeline::{CoprocException, ExecuteInfo, RobId};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Exception code the DDT raises for a SavePage event; `arg` carries the
 /// base address of the page to checkpoint.
@@ -114,8 +113,8 @@ pub struct Ddt {
     /// most safety-critical state, since a wrong thread id silently
     /// mis-attributes every subsequent dependency.
     thread_shadow: Option<ThreadId>,
-    pending_mem: HashMap<RobId, PendingAccess>,
-    pending_chk: HashMap<RobId, PendingChkAction>,
+    pending_mem: RobTable<PendingAccess>,
+    pending_chk: RobTable<PendingChkAction>,
     saved_pages: Vec<SavedPage>,
     stats: DdtStats,
     last_log_cycle: Option<u64>,
@@ -132,8 +131,8 @@ impl Ddt {
             ddm: DependencyMatrix::new(config.max_threads),
             current_thread: None,
             thread_shadow: None,
-            pending_mem: HashMap::new(),
-            pending_chk: HashMap::new(),
+            pending_mem: RobTable::new(),
+            pending_chk: RobTable::new(),
             saved_pages: Vec::new(),
             stats: DdtStats::default(),
             last_log_cycle: None,
@@ -301,7 +300,7 @@ impl Module for Ddt {
     }
 
     fn on_commit(&mut self, rob: RobId, ctx: &mut ModuleCtx<'_>) {
-        if let Some(action) = self.pending_chk.remove(&rob) {
+        if let Some(action) = self.pending_chk.remove(rob) {
             match action {
                 PendingChkAction::SetThread(tid) => {
                     if tid < self.config.max_threads {
@@ -311,7 +310,7 @@ impl Module for Ddt {
                 }
             }
         }
-        let Some(acc) = self.pending_mem.remove(&rob) else {
+        let Some(acc) = self.pending_mem.remove(rob) else {
             return;
         };
         let Some(thread) = self.current_thread else {
@@ -362,8 +361,8 @@ impl Module for Ddt {
     }
 
     fn on_squash(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
-        self.pending_mem.remove(&rob);
-        self.pending_chk.remove(&rob);
+        self.pending_mem.remove(rob);
+        self.pending_chk.remove(rob);
         if self.retrieval_in_flight == Some(rob) {
             self.retrieval_in_flight = None;
         }

@@ -366,22 +366,21 @@ impl Module for Icm {
             });
             self.redundant_copy_arrived(now, idx, word);
         }
-        // ICM_COMP: deliver verdicts whose compare latency elapsed.
-        let mut done = Vec::new();
-        for (i, p) in self.pending.iter().enumerate() {
-            if let Stage::Comp { done_at, error } = p.stage {
-                if done_at <= now {
-                    done.push((i, p.chk_rob, error));
-                }
+        // ICM_COMP: deliver verdicts whose compare latency elapsed, from
+        // the last pending slot to the first.
+        for i in (0..self.pending.len()).rev() {
+            let Stage::Comp { done_at, error } = self.pending[i].stage else {
+                continue;
+            };
+            if done_at > now {
+                continue;
             }
-        }
-        for (i, rob, error) in done.into_iter().rev() {
             self.stats.checks_completed += 1;
             if error {
                 self.stats.mismatches += 1;
             }
+            let rob = self.pending.remove(i).chk_rob;
             ctx.complete_check(rob, if error { Verdict::Fail } else { Verdict::Pass });
-            self.pending.remove(i);
         }
     }
 

@@ -276,6 +276,14 @@ grep -q '"events_per_sec":' BENCH_fleet.json \
   || { echo "FAIL: BENCH_fleet.json missing throughput numbers"; exit 1; }
 echo "churn smoke: deterministic 1k-node weather, matches golden, zero split-brain"
 
+echo "== benchmark pin tests (perfbench: campaign digests, kernel cycles, fleet digests)"
+# The benchmark's own workspace pins what its workloads compute: the
+# campaign record digests, kernel-sim's simulated cycles and the churn
+# record digests, at the default and held-out seeds. A simulator
+# speedup must leave every one of them unchanged. The traced package
+# (perfbench/traced) is built separately and is not part of this gate.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier 3: bounded model checking (rse-mc)"
 # Four theorem binaries drive the REAL production types (ModuleHealth,
 # Ioq, NodeProtocol) through every schedule of a bounded adversary and
