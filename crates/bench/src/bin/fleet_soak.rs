@@ -36,10 +36,9 @@
 //! cell (default 8; 1 under `--churn`; at least 1), `--model <name>` restrict to
 //! one fault/churn model, `--list-models` print the model catalogs and
 //! exit, `--out <path>` write the JSONL there (crash-safe tmp+rename)
-//! instead of stdout, `--no-table` suppress the summary, `--tiered`
-//! cross-check the fleet's golden digest on the functional tier first,
-//! `--lockstep` run the soak on the legacy lockstep engine (the
-//! equivalence shim: output bytes are identical to the event engine),
+//! instead of stdout, `--no-table` suppress the summary, `--lockstep`
+//! run the soak on the legacy lockstep engine (the equivalence shim:
+//! output bytes are identical to the event engine),
 //! `--bench-json <path>` write event-throughput numbers (wall-clock,
 //! not replayable — records are unaffected).
 
@@ -49,7 +48,7 @@ use std::time::Instant;
 use rse_bench::{count, numeric, seed, unknown_model, write_atomic, write_out};
 use rse_fleet::{
     churn_to_jsonl, run_churn, run_soak_with, ChurnCell, ChurnModel, ChurnSpec, FleetCell,
-    FleetSpec, NodeFaultModel, Scheduler, SoakOptions,
+    FleetSpec, NodeFaultModel, Scheduler,
 };
 use rse_inject::{coverage_table, to_jsonl, Histogram};
 
@@ -57,8 +56,8 @@ use rse_inject::{coverage_table, to_jsonl, Histogram};
 const DEFAULT_SEED: u64 = 0xF1EE7;
 
 const USAGE: &str = "usage: fleet_soak [--smoke | --control | --churn] [--seed N] [--nodes N] \
-     [--runs N] [--model NAME] [--list-models] [--out FILE] [--no-table] [--tiered] \
-     [--lockstep] [--bench-json FILE]";
+     [--runs N] [--model NAME] [--list-models] [--out FILE] [--no-table] [--lockstep] \
+     [--bench-json FILE]";
 
 enum Mode {
     Smoke,
@@ -77,7 +76,7 @@ struct Args {
     out: Option<String>,
     bench_json: Option<String>,
     table: bool,
-    opts: SoakOptions,
+    scheduler: Scheduler,
 }
 
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -91,7 +90,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         out: None,
         bench_json: None,
         table: true,
-        opts: SoakOptions::default(),
+        scheduler: Scheduler::Event,
     };
     let mut it = argv;
     while let Some(a) = it.next() {
@@ -113,8 +112,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.bench_json = Some(it.next().ok_or("--bench-json expects a file path")?);
             }
             "--no-table" => args.table = false,
-            "--tiered" => args.opts.tiered = true,
-            "--lockstep" => args.opts.scheduler = Scheduler::Lockstep,
+            "--lockstep" => args.scheduler = Scheduler::Lockstep,
             "--help" | "-h" => return Err(String::new()),
             _ => return Err(format!("unknown flag '{a}'")),
         }
@@ -292,7 +290,7 @@ fn main() -> ExitCode {
         spec.base_seed
     );
 
-    let records = run_soak_with(&spec, &args.opts);
+    let records = run_soak_with(&spec, args.scheduler);
     let jsonl = to_jsonl(&records);
     let what = format!("{} soak records", records.len());
     if let Err(code) = write_out("fleet_soak", args.out.as_deref(), &jsonl, &what) {

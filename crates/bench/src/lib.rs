@@ -106,7 +106,14 @@ pub fn assemble_or_die(source: &str) -> Image {
 /// `<path>.tmp` first and are atomically renamed over `path`, so an
 /// interrupted or killed run never leaves a truncated artifact where a
 /// complete one is expected (CI diffs JSONL artifacts byte-for-byte).
+///
+/// A `path` that exists but is not a regular file (a device such as
+/// `/dev/null`, a symlink, a FIFO) is written in place instead: a
+/// rename would replace the node itself with a plain file.
 pub fn write_atomic(path: &str, contents: &[u8]) -> std::io::Result<()> {
+    if std::fs::symlink_metadata(path).is_ok_and(|m| !m.file_type().is_file()) {
+        return std::fs::write(path, contents);
+    }
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, contents)?;
     std::fs::rename(&tmp, path)
@@ -234,6 +241,27 @@ pub fn header(title: &str) {
 mod tests {
     use super::*;
     use rse_workloads::kmeans::{source, KmeansParams};
+
+    #[test]
+    #[cfg(unix)]
+    fn write_atomic_writes_through_a_symlink_instead_of_replacing_it() {
+        let dir = std::env::temp_dir().join(format!("rse-write-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let target = dir.join("target.jsonl");
+        let link = dir.join("link.jsonl");
+        std::fs::write(&target, b"old").unwrap();
+        let _ = std::fs::remove_file(&link);
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+        write_atomic(link.to_str().unwrap(), b"new").unwrap();
+        let still_link = std::fs::symlink_metadata(&link)
+            .unwrap()
+            .file_type()
+            .is_symlink();
+        let written = std::fs::read(&target).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(still_link, "the symlink was replaced by a regular file");
+        assert_eq!(written, b"new");
+    }
 
     #[test]
     fn framework_costs_more_than_baseline() {

@@ -9,9 +9,9 @@
 //! lands, the monitor's next deadline passes, a request arrives, a
 //! churn action triggers. Guest realism enters through measured
 //! *progress quanta*: a witness request-loop guest (the
-//! `workloads/server.rs` kernel) is executed once on the tiered
-//! engine's functional tier, and the measured per-request cost prices
-//! request service across the fleet.
+//! `workloads/server.rs` kernel) is executed once on the
+//! [`Golden`](rse_pipeline::Golden) reference interpreter, and the
+//! measured per-request cost prices request service across the fleet.
 //!
 //! # The protocol, compressed
 //!
@@ -90,8 +90,8 @@ pub struct ChaosConfig {
     /// Nodes priced by the measured witness quanta instead of
     /// `svc_base` (ids `0..witnesses`).
     pub witnesses: u16,
-    /// Measured per-request progress quanta (functional-tier witness
-    /// run); empty disables witness pricing.
+    /// Measured per-request progress quanta (the witness run on the
+    /// reference interpreter); empty disables witness pricing.
     pub witness_quanta: Vec<u64>,
     /// AHBM minimum adaptive timeout.
     pub min_timeout: u64,
@@ -706,8 +706,9 @@ pub fn derive_churn_seed(base_seed: u64, model: ChurnModel, run: u32) -> u64 {
 }
 
 /// Measures the witness request quanta once per process: the
-/// request-loop guest from `workloads/server.rs` executed on the tiered
-/// engine's functional tier, one quantum per marker syscall.
+/// request-loop guest from `workloads/server.rs` executed on the
+/// [`Golden`](rse_pipeline::Golden) interpreter, one quantum (the
+/// instructions executed) per marker syscall.
 /// Deterministic, so campaign records replay byte-identically.
 pub fn witness_quanta() -> &'static [u64] {
     use std::sync::OnceLock;
@@ -719,12 +720,7 @@ pub fn witness_quanta() -> &'static [u64] {
         };
         let src = rse_workloads::server::request_loop_source(&p, 16);
         let image = rse_isa::asm::assemble(&src).expect("witness guest assembles");
-        let q = rse_sys::tiered::syscall_quanta(
-            &image,
-            rse_pipeline::PipelineConfig::default(),
-            rse_mem::MemConfig::with_framework(),
-            16,
-        );
+        let q = rse_pipeline::golden::syscall_quanta(&image, 16);
         assert_eq!(q.len(), 16, "one quantum per witness request");
         q
     })
@@ -862,10 +858,11 @@ mod tests {
     #[test]
     fn witness_quanta_price_witness_nodes() {
         let q = witness_quanta();
-        assert_eq!(q.len(), 16);
-        assert!(q.iter().all(|&x| x > 0));
-        // Requests 1.. are uniform; request 0 carries the prologue.
-        assert!(q[1..].iter().all(|&x| x == q[1]));
+        // Request 0 carries the prologue; requests 1.. are uniform. The
+        // churn golden and every churn record digest depend on these.
+        let mut pinned = [3609u64; 16];
+        pinned[0] = 3612;
+        assert_eq!(q, pinned);
         let cfg = ChaosConfig {
             witness_quanta: q.to_vec(),
             ..small_cfg()

@@ -54,4 +54,4 @@ pub use net::{Message, NetConfig, NetPayload, NetStats, Network, Payload, NO_RAC
 pub use node::{FenceKind, Guest, Node, NodeStatus};
 pub use protocol::{FailoverOrder, NodeProtocol, ProtoMsg};
 pub use sim::{FleetConfig, FleetOutcome, FleetSim, Scheduler};
-pub use soak::{run_soak, run_soak_with, FleetCell, FleetSpec, SoakOptions};
+pub use soak::{run_soak, run_soak_with, FleetCell, FleetSpec};

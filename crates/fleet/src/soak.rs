@@ -10,10 +10,8 @@ use crate::fault::{FleetProfile, NodeFaultModel, NodeFaultPlan};
 use crate::sim::{FleetConfig, FleetSim, Scheduler};
 use rse_inject::{fleet_workload, result_digest_parts, RunRecord};
 use rse_isa::asm::assemble;
-use rse_mem::MemConfig;
-use rse_pipeline::{ExecEvent, NullCoProcessor, PipelineConfig};
+use rse_pipeline::{Golden, GoldenEvent};
 use rse_support::rng::{fnv1a64, splitmix64};
-use rse_sys::tiered::{TieredDriver, Window};
 
 /// One soak cell: `runs` runs of one node-level fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,75 +116,53 @@ pub fn derive_fleet_seed(base_seed: u64, model: NodeFaultModel, run: u32) -> u64
     splitmix64(&mut s)
 }
 
-/// Execution options for a fleet soak.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SoakOptions {
-    /// Cross-check the fleet's golden digest on the functional tier
-    /// before soaking. The soak itself stays fully cycle-accurate —
-    /// heartbeat deadlines, suspicion timers, and the recorded cycle
-    /// counts are all on the fleet's cycle clock, so records are
-    /// byte-identical with or without this flag.
-    pub tiered: bool,
-    /// Execution engine. [`Scheduler::Event`] (default) and
-    /// [`Scheduler::Lockstep`] produce byte-identical records; CI
-    /// replays the smoke soak on both and diffs them against the same
-    /// pinned golden.
-    pub scheduler: Scheduler,
-}
-
-/// Verifies the zero-fault profile digest cross-tier: the `beat_loop`
-/// guest re-executed on the [`TieredDriver`]'s functional tier (syscalls
-/// resumed with no register writes, exactly as the fleet's heartbeat
-/// trap does) must reach the digest every fleet node reached
+/// Verifies the zero-fault profile digest against the reference
+/// interpreter: the `beat_loop` guest re-executed on [`Golden`]
+/// (syscalls resumed with no register writes, exactly as the fleet's
+/// heartbeat trap does) must reach the digest every fleet node reached
 /// cycle-accurately.
 ///
 /// # Panics
 ///
-/// Panics on divergence — that is a tiering bug (the differential
+/// Panics on divergence — that is a pipeline bug (the differential
 /// invariant broken), never a soak outcome.
-fn verify_profile_cross_tier(profile: &FleetProfile) {
+fn verify_profile_on_golden(profile: &FleetProfile) {
     let w = fleet_workload();
     let image = assemble(w.source).expect("fleet workload assembles");
-    let mut d = TieredDriver::new(
-        &image,
-        PipelineConfig::default(),
-        MemConfig::with_framework(),
-    );
-    loop {
-        match d.run(&mut NullCoProcessor, &Window::none(), u64::MAX / 2) {
-            ExecEvent::Halted => break,
-            ExecEvent::Syscall => d.resume(None),
-            ev => panic!("functional beat_loop raised {ev:?}"),
-        }
+    let mut g = Golden::new(&image);
+    while g.run_until(u64::MAX) == GoldenEvent::Syscall {
+        g.resume(None);
     }
-    let digest = result_digest_parts(w, d.regs(), d.memory(), &image);
+    let digest = result_digest_parts(w, &g.regs, &g.mem, &image);
     assert_eq!(
         digest, profile.golden_digest,
-        "functional tier diverged from the fleet profile digest"
+        "golden interpreter diverged from the fleet profile digest"
     );
 }
 
-/// Runs a fleet soak campaign: measures the zero-fault profile once,
-/// then executes every cell. Returns one [`RunRecord`] per run, in
-/// spec order (serialize with `rse_inject::to_jsonl`). Equivalent to
-/// [`run_soak_with`] with default options.
+/// Runs a fleet soak campaign on the default [`Scheduler::Event`]
+/// engine: measures the zero-fault profile once, checks it against the
+/// reference interpreter, then executes every cell. Returns one
+/// [`RunRecord`] per run, in spec order (serialize with
+/// `rse_inject::to_jsonl`).
 pub fn run_soak(spec: &FleetSpec) -> Vec<RunRecord> {
-    run_soak_with(spec, &SoakOptions::default())
+    run_soak_with(spec, Scheduler::Event)
 }
 
-/// Runs a fleet soak campaign under [`SoakOptions`].
-pub fn run_soak_with(spec: &FleetSpec, opts: &SoakOptions) -> Vec<RunRecord> {
+/// Runs a fleet soak campaign on `scheduler`. [`Scheduler::Event`] and
+/// [`Scheduler::Lockstep`] produce byte-identical records; CI replays
+/// the smoke soak on both and diffs them against the same pinned
+/// golden.
+pub fn run_soak_with(spec: &FleetSpec, scheduler: Scheduler) -> Vec<RunRecord> {
     let cfg = FleetConfig {
         nodes: spec.nodes,
-        scheduler: opts.scheduler,
+        scheduler,
         ..FleetConfig::default()
     };
     let mut p = spec.base_seed ^ fnv1a64(b"fleet-profile");
     let profile_seed = splitmix64(&mut p);
     let profile = FleetSim::profile(&cfg, profile_seed);
-    if opts.tiered {
-        verify_profile_cross_tier(&profile);
-    }
+    verify_profile_on_golden(&profile);
     // Headroom for slowed guests (factor ≤ 4) plus detection/settle tails.
     let cfg = FleetConfig {
         budget: cfg.budget.max(profile.run_cycles * 6 + 60_000),
@@ -254,32 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn tiered_soak_is_byte_identical_and_cross_verified() {
-        let spec = FleetSpec::control(0xC0FFEE, 2);
-        let base = run_soak(&spec);
-        let tiered = run_soak_with(
-            &spec,
-            &SoakOptions {
-                tiered: true,
-                ..SoakOptions::default()
-            },
-        );
-        assert_eq!(base, tiered);
-    }
-
-    #[test]
     fn lockstep_soak_is_byte_identical() {
         // The CLI-level face of the equivalence shim: the same spec on
         // both engines yields identical records.
         let spec = FleetSpec::control(0xE417, 1);
         let event = run_soak(&spec);
-        let lockstep = run_soak_with(
-            &spec,
-            &SoakOptions {
-                scheduler: Scheduler::Lockstep,
-                ..SoakOptions::default()
-            },
-        );
+        let lockstep = run_soak_with(&spec, Scheduler::Lockstep);
         assert_eq!(event, lockstep);
     }
 

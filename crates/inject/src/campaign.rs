@@ -295,8 +295,8 @@ pub fn result_digest(w: &Workload, cpu: &Pipeline, image: &Image) -> u64 {
     result_digest_parts(w, cpu.regs(), &cpu.mem().memory, image)
 }
 
-/// [`result_digest`] over raw architectural state: works against either
-/// execution tier (the functional interpreter exposes the same register
+/// [`result_digest`] over raw architectural state: works against the
+/// pipeline or the `Golden` interpreter (which exposes the same register
 /// file and [`SparseMemory`] as the pipeline).
 pub fn result_digest_parts(
     w: &Workload,

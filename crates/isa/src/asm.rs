@@ -319,6 +319,12 @@ fn inst_words(mnemonic: &str, operands: &[Operand]) -> Option<u32> {
     }
 }
 
+// Largest size of each section: the gap from its nominal base to the
+// next segment of the layout. A section that would grow past it is an
+// error, not a multi-gigabyte image.
+const TEXT_LIMIT: u32 = layout::SHLIB_BASE - layout::TEXT_BASE;
+const DATA_LIMIT: u32 = layout::HEAP_BASE - layout::DATA_BASE;
+
 fn layout_pass(
     lines: &[Line],
     text_base: u32,
@@ -330,24 +336,23 @@ fn layout_pass(
     let mut data_pc = data_base;
     for line in lines {
         for item in &line.items {
-            let pc = match section {
-                SectionKind::Text => &mut text_pc,
-                SectionKind::Data => &mut data_pc,
+            let (pc, base, limit, sect) = match section {
+                SectionKind::Text => (&mut text_pc, text_base, TEXT_LIMIT, ".text"),
+                SectionKind::Data => (&mut data_pc, data_base, DATA_LIMIT, ".data"),
             };
-            match item {
+            let end = match item {
                 Item::Label(name) => {
                     if symbols.insert(name.clone(), *pc).is_some() {
                         return Err(err(line.no, format!("duplicate label `{name}`")));
                     }
+                    continue;
                 }
-                Item::Section(kind) => section = *kind,
-                Item::Word(vs) => *pc = align_to(*pc, 4) + 4 * vs.len() as u32,
-                Item::Half(vs) => *pc = align_to(*pc, 2) + 2 * vs.len() as u32,
-                Item::Byte(vs) => *pc += vs.len() as u32,
-                Item::Space(n) => *pc += n,
-                Item::Align(n) if *n > 0 => *pc = align_to(*pc, *n),
-                Item::Align(_) => {}
-                Item::Asciiz(s) => *pc += s.len() as u32 + 1,
+                Item::Section(kind) => {
+                    section = *kind;
+                    continue;
+                }
+                Item::Align(0) => continue,
+                Item::Align(n) => align_to(*pc, *n),
                 Item::Inst {
                     mnemonic,
                     operands,
@@ -358,16 +363,35 @@ fn layout_pass(
                     }
                     let words = inst_words(mnemonic, operands)
                         .ok_or_else(|| err(*no, format!("unknown mnemonic `{mnemonic}`")))?;
-                    *pc += words * INST_BYTES;
+                    pc.checked_add(words * INST_BYTES)
                 }
-            }
+                // The emit pass writes data bytes to the data image, so
+                // laying them out in .text would shift every later label.
+                _ if section == SectionKind::Text => {
+                    return Err(err(line.no, "data directive outside .data section"));
+                }
+                Item::Word(vs) => align_to(*pc, 4).and_then(|p| grow(p, 4, vs.len())),
+                Item::Half(vs) => align_to(*pc, 2).and_then(|p| grow(p, 2, vs.len())),
+                Item::Byte(vs) => grow(*pc, 1, vs.len()),
+                Item::Space(n) => pc.checked_add(*n),
+                Item::Asciiz(s) => grow(*pc, 1, s.len() + 1),
+            };
+            *pc = end
+                .filter(|&end| end - base <= limit)
+                .ok_or_else(|| err(line.no, format!("{sect} section grows past {limit} bytes")))?;
         }
     }
     Ok(symbols)
 }
 
-fn align_to(v: u32, align: u32) -> u32 {
-    v.div_ceil(align) * align
+/// `v` rounded up to a multiple of `align`; `None` past `u32::MAX`.
+fn align_to(v: u32, align: u32) -> Option<u32> {
+    v.div_ceil(align).checked_mul(align)
+}
+
+/// `pc` advanced by `count` items of `unit` bytes; `None` past `u32::MAX`.
+fn grow(pc: u32, unit: u32, count: usize) -> Option<u32> {
+    pc.checked_add(unit.checked_mul(u32::try_from(count).ok()?)?)
 }
 
 struct Emitter<'a> {
@@ -474,13 +498,15 @@ fn emit_pass(
                 Item::Space(n) => e.data.extend(std::iter::repeat_n(0, *n as usize)),
                 Item::Align(n) if *n > 0 => match section {
                     SectionKind::Data => {
-                        let target = align_to(data_base + e.data.len() as u32, *n);
+                        let target = align_to(data_base + e.data.len() as u32, *n)
+                            .expect("layout pass bounded the section");
                         while data_base + (e.data.len() as u32) < target {
                             e.data.push(0);
                         }
                     }
                     SectionKind::Text => {
-                        let target = align_to(e.text_pc(), *n);
+                        let target =
+                            align_to(e.text_pc(), *n).expect("layout pass bounded the section");
                         while e.text_pc() < target {
                             e.push(Inst::Nop);
                         }
@@ -1015,6 +1041,36 @@ mod tests {
     fn instructions_in_data_section_rejected() {
         let e = assemble(".data\nadd r1, r2, r3\n").unwrap_err();
         assert!(e.msg.contains("outside .text"));
+    }
+
+    #[test]
+    fn data_directives_in_text_section_rejected() {
+        // Data bytes go to the data image: laid out in .text, `.word 5`
+        // would move `after` one word past its instruction.
+        let e = assemble("main: li r8, 7\nj after\n.word 5\nafter: li r4, 1\nhalt").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("outside .data"), "{e}");
+        for directive in [".half 1", ".byte 1", ".space 4", ".asciiz \"x\""] {
+            let e = assemble(&format!("main: nop\n{directive}\nhalt")).unwrap_err();
+            assert_eq!(e.line, 2, "{directive}");
+            assert!(e.msg.contains("outside .data"), "{directive}: {e}");
+        }
+    }
+
+    #[test]
+    fn oversized_sections_rejected() {
+        for (src, line, section) in [
+            ("main: halt\n.data\nx: .space 4294967295", 3, ".data"),
+            (".data\n.align 2147483648", 2, ".data"),
+            (".align 1073741824", 1, ".text"),
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert_eq!(e.line, line, "{src}");
+            assert!(
+                e.msg.contains(section) && e.msg.contains("grows past"),
+                "{src}: {e}"
+            );
+        }
     }
 
     #[test]

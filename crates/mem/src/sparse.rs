@@ -9,7 +9,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub const PAGE_BYTES: usize = 4096;
 
 /// A fast, fixed (non-randomized) hasher for page ids. Page lookups sit
-/// on the hottest path of both execution tiers — every instruction
+/// on the hottest path of both simulators — every instruction
 /// fetch, load, and store resolves one — and SipHash with a random key
 /// is both slow and needlessly nondeterministic here: page ids are
 /// guest-controlled `u32`s, not attacker-controlled map keys. One

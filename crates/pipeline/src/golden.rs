@@ -2,7 +2,9 @@
 //! a time, in order, with no timing model. Used as the reference in
 //! differential tests against the out-of-order pipeline — any
 //! architectural divergence (registers, memory, halt point) is a
-//! speculation/forwarding/recovery bug in the pipeline.
+//! speculation/forwarding/recovery bug in the pipeline — and wherever a
+//! fault-free run needs only architectural results, such as
+//! [`syscall_quanta`].
 
 use crate::exec::{branch_taken, exec_alu};
 use rse_isa::{decode, layout, Image, Inst, InstClass, Reg};
@@ -100,8 +102,7 @@ impl Golden {
     /// stops at exactly the same instruction as an uninterrupted run.
     /// Callers that pause and resume should prefer `run_until` with an
     /// absolute deadline — it makes the bookkeeping impossible to get
-    /// wrong, which is what the tiered driver's deterministic switch
-    /// points rely on.
+    /// wrong.
     pub fn run(&mut self, fuel: u64) -> GoldenEvent {
         self.run_until(self.executed.saturating_add(fuel))
     }
@@ -200,6 +201,28 @@ impl Golden {
     }
 }
 
+/// Measures the guest-progress cost of each syscall-delimited span of
+/// `image`: runs it on the interpreter, resumes every syscall with no
+/// register writes, and returns, for each syscall in order, the
+/// instructions executed since the previous one (the syscall included),
+/// until the guest halts or `max_events` syscalls have fired.
+///
+/// For a guest that issues one marker syscall per unit of work (the
+/// fleet chaos campaigns' request-loop witness), entry *i* is the
+/// measured progress quantum of work item *i*. Deterministic: same
+/// image, same quanta.
+pub fn syscall_quanta(image: &Image, max_events: usize) -> Vec<u64> {
+    let mut g = Golden::new(image);
+    let mut quanta = Vec::new();
+    let mut last = 0;
+    while quanta.len() < max_events && g.run_until(u64::MAX) == GoldenEvent::Syscall {
+        quanta.push(g.executed - last);
+        last = g.executed;
+        g.resume(None);
+    }
+    quanta
+}
+
 fn mem_offset(inst: &Inst) -> u32 {
     use Inst::*;
     match *inst {
@@ -246,7 +269,6 @@ mod tests {
     /// A paused-and-resumed run must consume exactly the same fuel as an
     /// uninterrupted one: `run_until` anchors the budget to the absolute
     /// `executed` clock, so syscall pauses grant no extra instructions.
-    /// This is what makes tiered switch points deterministic.
     #[test]
     fn fuel_accounting_is_exact_across_syscall_pauses() {
         // Three syscalls interleaved with ALU work, then a loop.
@@ -295,6 +317,27 @@ mod tests {
         }
         assert_eq!(g.executed, total);
         assert!(g.is_halted());
+    }
+
+    #[test]
+    fn syscall_quanta_measures_each_span() {
+        // Three fixed-length compute spans, each closed by a syscall,
+        // then a tail the probe never charges to a quantum.
+        let src = "main: li r8, 0\nli r9, 3\n\
+             outer: li r10, 0\nli r12, 40\n\
+             inner: addi r10, r10, 1\nbne r10, r12, inner\n\
+             li r2, 18\nsyscall\naddi r8, r8, 1\nbne r8, r9, outer\nhalt";
+        let image = assemble(src).unwrap();
+        let q = syscall_quanta(&image, 64);
+        assert_eq!(q.len(), 3);
+        assert!(q[0] > 0);
+        // Spans 1 and 2 are identical instruction sequences; span 0 adds
+        // the one-time prologue.
+        assert_eq!(q[1], q[2]);
+        assert!(q[0] >= q[1]);
+        // Replays are deterministic, and max_events truncates.
+        let again = syscall_quanta(&image, 2);
+        assert_eq!(again, q[..2]);
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //! (`check`/`checkValid`) by which a blocking CHECK stalls or flushes the
 //! pipeline.
 //!
+//! [`Golden`] is the in-order reference interpreter: the differential
+//! tests hold the pipeline to it, and fault-free runs that need only
+//! architectural results ([`golden::syscall_quanta`], the fleet soak's
+//! profile cross-check) run on it alone.
+//!
 //! # Example
 //!
 //! ```
@@ -44,7 +49,6 @@
 
 mod config;
 mod coproc;
-pub mod cpu;
 mod exec;
 pub mod golden;
 mod machine;
@@ -55,7 +59,6 @@ pub use config::{CheckPolicy, PipelineConfig};
 pub use coproc::{
     CoProcessor, CommitGate, CoprocException, DispatchInfo, ExecuteInfo, NullCoProcessor, RobId,
 };
-pub use cpu::{Cpu, ExecEvent};
 pub use exec::exec_alu;
 pub use golden::{Golden, GoldenEvent};
 pub use machine::{CpuContext, FetchFault, FetchTamper, Pipeline, SoftFault, StepEvent};

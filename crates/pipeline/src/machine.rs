@@ -214,14 +214,6 @@ pub struct Pipeline {
     regs: [u32; 32],
     arch_regs: [u32; 32],
     fetch_pc: u32,
-    /// The next *architectural* program counter: the `actual_next` of the
-    /// youngest committed program instruction. Unlike `fetch_pc` (which
-    /// runs ahead speculatively) this is exact at every commit boundary;
-    /// [`Pipeline::drain`] realigns the front end to it.
-    arch_pc: u32,
-    /// Cleared by [`Pipeline::drain`] to stop fetch/dispatch while the
-    /// in-flight window commits.
-    frontend_enabled: bool,
     fetch_queue: VecDeque<FetchedInst>,
     rob: VecDeque<RobEntry>,
     next_id: u64,
@@ -254,8 +246,6 @@ impl Pipeline {
             regs,
             arch_regs: regs,
             fetch_pc: layout::TEXT_BASE,
-            arch_pc: layout::TEXT_BASE,
-            frontend_enabled: true,
             fetch_queue: VecDeque::new(),
             rob: VecDeque::new(),
             next_id: 0,
@@ -288,7 +278,6 @@ impl Pipeline {
         self.mem.memory.write_bytes(image.data_base, &image.data);
         self.mem.invalidate_caches();
         self.fetch_pc = image.entry;
-        self.arch_pc = image.entry;
         self.regs = [0; 32];
         self.regs[Reg::SP.index()] = layout::STACK_BASE - 16;
         self.arch_regs = self.regs;
@@ -426,7 +415,6 @@ impl Pipeline {
     pub fn set_context(&mut self, ctx: &CpuContext) {
         self.arch_regs = ctx.regs;
         self.regs = ctx.regs;
-        self.arch_pc = ctx.pc;
         match &mut self.state {
             State::WaitSyscall { resume_pc } => *resume_pc = ctx.pc,
             _ => self.fetch_pc = ctx.pc,
@@ -444,7 +432,6 @@ impl Pipeline {
             panic!("resume called while not paused at a syscall");
         };
         self.fetch_pc = pc.unwrap_or(resume_pc);
-        self.arch_pc = self.fetch_pc;
         self.state = State::Running;
     }
 
@@ -463,58 +450,6 @@ impl Pipeline {
             }
         }
         StepEvent::Timeout
-    }
-
-    /// Advances the cycle counter to `to_cycle` without simulating any
-    /// cycles (saturating: a past value is a no-op). Used by the tiered
-    /// driver's warm-state handoff so faults and deadlines scheduled on
-    /// the absolute cycle clock stay meaningful after a functional
-    /// fast-forward. `stats().cycles` keeps counting only *simulated*
-    /// cycles, so `now()` may exceed it after a warm start.
-    pub fn advance_clock(&mut self, to_cycle: u64) {
-        self.now = self.now.max(to_cycle);
-    }
-
-    /// Runs the back end until every in-flight instruction has committed,
-    /// without fetching or dispatching anything new, then realigns the
-    /// front end to the next architectural instruction. On return with
-    /// `None` the machine is at an exact commit boundary: `regs()` and
-    /// [`Pipeline::context`] describe precise architectural state, which
-    /// is what the tiered driver's pipeline→functional handoff needs.
-    ///
-    /// If a syscall, halt, or co-processor exception fires while the
-    /// window drains, that event is returned instead (the pipeline is
-    /// already architecturally exact at those boundaries).
-    pub fn drain(&mut self, cp: &mut dyn CoProcessor) -> Option<StepEvent> {
-        match self.state {
-            State::Halted => return Some(StepEvent::Halted),
-            State::WaitSyscall { .. } => return Some(StepEvent::Syscall),
-            State::Running => {}
-        }
-        self.frontend_enabled = false;
-        let mut event = None;
-        let mut guard = 0u64;
-        while !self.rob.is_empty() {
-            if let Some(ev) = self.step(cp) {
-                event = Some(ev);
-                break;
-            }
-            guard += 1;
-            assert!(guard < 10_000_000, "pipeline drain did not converge");
-        }
-        self.frontend_enabled = true;
-        if event.is_none() {
-            // The ROB emptied without an event: discard speculative fetch
-            // state and restart fetch at the architectural continuation.
-            self.fetch_queue.clear();
-            self.pending_ifetch = None;
-            self.chk_injected_for = None;
-            self.wrong_path_mode = false;
-            self.serialize = false;
-            self.regs = self.arch_regs;
-            self.fetch_pc = self.arch_pc;
-        }
-        event
     }
 
     /// Advances the machine by one cycle. Returns an event if the
@@ -605,10 +540,6 @@ impl Pipeline {
         self.stats.committed += 1;
         if entry.injected {
             self.stats.committed_injected_chk += 1;
-        } else {
-            // Injected CHECKs share the guarded instruction's PC and must
-            // not advance the architectural point past it.
-            self.arch_pc = entry.actual_next;
         }
         if let Some(dest) = entry.inst.dest() {
             self.arch_regs[dest.index()] = entry.result;
@@ -847,9 +778,6 @@ impl Pipeline {
     }
 
     fn dispatch_stage(&mut self, cp: &mut dyn CoProcessor) {
-        if !self.frontend_enabled {
-            return;
-        }
         for _ in 0..self.config.dispatch_width {
             if self.serialize || self.rob.len() >= self.config.rob_size {
                 break;
@@ -1011,9 +939,6 @@ impl Pipeline {
     // --- fetch ----------------------------------------------------------
 
     fn fetch_stage(&mut self) {
-        if !self.frontend_enabled {
-            return;
-        }
         const LINE_BYTES: u32 = 32;
         let mut fetched = 0usize;
         let mut line_this_cycle: Option<u32> = None;
@@ -1157,52 +1082,6 @@ mod tests {
         let ev = cpu.run(&mut NullCoProcessor, 1_000_000);
         assert_eq!(ev, StepEvent::Halted, "program did not halt");
         cpu
-    }
-
-    /// `drain` at an arbitrary mid-run cycle must leave the machine at an
-    /// exact architectural boundary: continuing afterwards reaches the
-    /// same final state as a never-drained run, and the drained context
-    /// replayed on the golden interpreter reaches the same halt state.
-    #[test]
-    fn drain_stops_at_an_exact_commit_boundary() {
-        let src = "main: li r8, 0\nli r9, 40\nloop: addi r8, r8, 1\naddi r10, r10, 3\n\
-                   bne r8, r9, loop\nsw r10, 0(r29)\nhalt";
-        let reference = {
-            let image = assemble(src).unwrap();
-            let mut cpu = Pipeline::new(
-                PipelineConfig::default(),
-                MemorySystem::new(MemConfig::baseline()),
-            );
-            cpu.load_image(&image);
-            assert_eq!(cpu.run(&mut NullCoProcessor, 1_000_000), StepEvent::Halted);
-            *cpu.regs()
-        };
-        for drain_at in [1u64, 3, 7, 20, 55, 90] {
-            let image = assemble(src).unwrap();
-            let mut cpu = Pipeline::new(
-                PipelineConfig::default(),
-                MemorySystem::new(MemConfig::baseline()),
-            );
-            cpu.load_image(&image);
-            if cpu.run(&mut NullCoProcessor, drain_at) == StepEvent::Halted {
-                // The cut point landed past the halt; nothing to drain.
-                assert_eq!(*cpu.regs(), reference);
-                continue;
-            }
-            let ev = cpu.drain(&mut NullCoProcessor);
-            if ev.is_none() {
-                // At the boundary: speculative state must mirror
-                // architectural state and fetch must restart at arch_pc.
-                assert_eq!(cpu.regs, cpu.arch_regs);
-                assert_eq!(cpu.fetch_pc, cpu.arch_pc);
-                assert!(cpu.rob.is_empty());
-                assert!(cpu.fetch_queue.is_empty());
-            }
-            if ev != Some(StepEvent::Halted) {
-                assert_eq!(cpu.run(&mut NullCoProcessor, 1_000_000), StepEvent::Halted);
-            }
-            assert_eq!(*cpu.regs(), reference, "drain at cycle {drain_at} diverged");
-        }
     }
 
     #[test]

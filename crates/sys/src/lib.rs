@@ -32,9 +32,7 @@ pub mod loader;
 pub mod os;
 pub mod recovery;
 pub mod rerand;
-pub mod tiered;
 
 pub use checkpoint::{CheckpointConfig, CheckpointStore};
 pub use os::{Os, OsConfig, OsExit, ThreadState};
 pub use recovery::{recover, validate_max_rerun, RecoveryOutcome, DEFAULT_MAX_RERUN};
-pub use tiered::{Tier, TieredDriver, TieredStats, Window};

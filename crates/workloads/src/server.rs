@@ -177,9 +177,9 @@ privbuf: .space {priv_bytes}
 /// completed request and a final processed-count print.
 ///
 /// This is the *witness guest* of the fleet chaos campaigns: it runs on
-/// the tiered driver's functional tier with no OS underneath (every
-/// syscall surfaces as an `ExecEvent::Syscall` the host resumes), so the
-/// clock delta between consecutive syscalls is the measured
+/// the `Golden` interpreter with no OS underneath (every syscall pauses
+/// the interpreter and the host resumes it), so the instructions
+/// executed between consecutive syscalls are the measured
 /// guest-progress quantum one request costs — the unit the 1k-node
 /// traffic model charges per served request.
 pub fn request_loop_source(p: &ServerParams, max_requests: u32) -> String {
@@ -232,6 +232,7 @@ mod tests {
     use rse_isa::ModuleId;
     use rse_mem::{MemConfig, MemorySystem};
     use rse_modules::ddt::{Ddt, DdtConfig};
+    use rse_pipeline::golden::syscall_quanta;
     use rse_pipeline::{Pipeline, PipelineConfig};
     use rse_sys::{Os, OsConfig, OsExit};
 
@@ -334,12 +335,7 @@ mod tests {
             ..ServerParams::default()
         };
         let image = assemble(&request_loop_source(&p, 5)).expect("request loop assembles");
-        let q = rse_sys::tiered::syscall_quanta(
-            &image,
-            PipelineConfig::default(),
-            MemConfig::with_framework(),
-            64,
-        );
+        let q = syscall_quanta(&image, 64);
         // One YIELD per request plus the final print.
         assert_eq!(q.len(), 6);
         // Requests 1..n are byte-identical spans; request 0 adds the
@@ -349,12 +345,7 @@ mod tests {
         assert!(q[0] >= q[1]);
         let heavy = ServerParams { work: 120, ..p };
         let heavy_image = assemble(&request_loop_source(&heavy, 5)).unwrap();
-        let hq = rse_sys::tiered::syscall_quanta(
-            &heavy_image,
-            PipelineConfig::default(),
-            MemConfig::with_framework(),
-            64,
-        );
+        let hq = syscall_quanta(&heavy_image, 64);
         assert!(hq[1] > q[1], "work=120 ({}) vs work=60 ({})", hq[1], q[1]);
     }
 

@@ -159,7 +159,9 @@ echo "entropy study: randomization strictly cuts attack success on all 4 victims
 
 echo "== fleet soak smoke campaign (52 runs, 5 nodes, fixed seed)"
 # The fleet history is a pure function of (config, seed, fault): two
-# invocations must be byte-identical and match the pinned golden.
+# invocations must be byte-identical and match the pinned golden. Every
+# soak also replays the zero-fault guest on the golden interpreter and
+# panics unless it reaches the fleet profile's digest.
 # Regenerate with:
 #   cargo run --release --offline -p rse-bench --bin fleet_soak -- \
 #     --smoke --no-table --out tests/golden/fleet_soak_smoke.jsonl
@@ -195,13 +197,6 @@ diff -u tests/golden/campaign_smoke.jsonl "$TMP/shard_a" \
   || { echo "FAIL: 4-thread smoke campaign diverges from pinned golden"; exit 1; }
 echo "sharded smoke campaign: byte-identical to pinned golden"
 
-echo "== tiered fleet soak (cross-tier verification, same golden)"
-cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
-  --smoke --no-table --tiered --out "$TMP/fleet_t" 2>/dev/null
-diff -u tests/golden/fleet_soak_smoke.jsonl "$TMP/fleet_t" \
-  || { echo "FAIL: --tiered fleet soak diverges from pinned golden"; exit 1; }
-echo "tiered fleet soak: byte-identical to pinned golden"
-
 echo "== lockstep fleet soak (equivalence shim, same golden)"
 # The event-driven scheduler is the default engine; --lockstep replays
 # the same smoke spec on the legacy per-cycle engine. Both must match
@@ -218,11 +213,14 @@ echo "== 1k-node churn smoke campaign (chaos engine, fixed seed)"
 # partition, and full weather (rolling restarts + rack cut + cascading
 # failure). Double-replayed and diffed against the pinned golden under
 # a wall-clock budget; any split-brain completion fails the gate, and
-# the weather runs must actually fail over. Regenerate with:
+# the weather runs must actually fail over. The throughput numbers go to
+# scratch space, so CI never rewrites the committed BENCH_fleet.json.
+# Regenerate the golden and the throughput artifact with:
 #   cargo run --release --offline -p rse-bench --bin fleet_soak -- \
-#     --churn --no-table --out tests/golden/churn_smoke.jsonl
+#     --churn --no-table --out tests/golden/churn_smoke.jsonl \
+#     --bench-json BENCH_fleet.json
 timeout 300 cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
-  --churn --no-table --out "$TMP/churn_a" --bench-json BENCH_fleet.json 2>/dev/null \
+  --churn --no-table --out "$TMP/churn_a" --bench-json "$TMP/churn_bench" 2>/dev/null \
   || { echo "FAIL: churn smoke failed or blew the 300s wall-clock budget"; exit 1; }
 timeout 300 cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
   --churn --no-table --out "$TMP/churn_b" 2>/dev/null \
@@ -239,8 +237,8 @@ grep -q '"model":"full-weather"' "$TMP/churn_a" \
 if grep '"model":"full-weather"' "$TMP/churn_a" | grep -q '"failovers":0,'; then
   echo "FAIL: full-weather run executed no failovers"; exit 1
 fi
-grep -q '"events_per_sec":' BENCH_fleet.json \
-  || { echo "FAIL: BENCH_fleet.json missing throughput numbers"; exit 1; }
+grep -q '"events_per_sec":' "$TMP/churn_bench" \
+  || { echo "FAIL: churn bench JSON missing throughput numbers"; exit 1; }
 echo "churn smoke: deterministic 1k-node weather, matches golden, zero split-brain"
 
 echo "== benchmark pin tests (perfbench: campaign digests, kernel cycles, fleet digests)"
@@ -284,22 +282,5 @@ fi
 grep -q "counterexample: invariant 'legal-edge'" "$TMP/mc_mutate.out" \
   || { echo "FAIL: health mutation run printed no counterexample trace"; exit 1; }
 echo "model checking: four theorem groups verified; seeded mutations caught"
-
-echo "== tiered execution speed curve (BENCH_tiered.json, gate >= 5x)"
-# Regenerates the committed perf-trajectory artifact and gates the
-# smoke_baseline/smoke_tiered median speedup at 5x (measured ~8x; the
-# margin absorbs noisy CI hosts).
-rm -f BENCH_tiered.json
-RSE_BENCH_SAMPLES=5 RSE_BENCH_JSON="$PWD/BENCH_tiered.json" \
-  cargo bench -q --offline -p rse-bench --bench tiered
-awk -F'"median_ns":' '
-  /"name":"tiered\/smoke_baseline"/ { split($2, a, ","); base = a[1] }
-  /"name":"tiered\/smoke_tiered"/   { split($2, a, ","); tier = a[1] }
-  END {
-    if (base == "" || tier == "" || tier <= 0) { print "FAIL: bench JSON incomplete"; exit 1 }
-    x = base / tier
-    printf "tiered smoke speedup: %.1fx\n", x
-    if (x < 5) { print "FAIL: tiered speedup below 5x gate"; exit 1 }
-  }' BENCH_tiered.json || exit 1
 
 echo "CI OK"
