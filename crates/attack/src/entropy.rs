@@ -24,13 +24,13 @@
 //! the success rate falls — monotonically, which is exactly what the
 //! CI gate on the committed `BENCH_attack.json` asserts.
 //!
-//! The study runs over a small victim *corpus* ([`entropy_victims`]),
+//! The study runs over a small victim *corpus*,
 //! one long-running guest per attack-surface kind — plain pointer
 //! chasing (`stack`), GOT-style double indirection (`got`), a
 //! branch-dense round (`branch`), and a store/load staging round
 //! (`nx`) — so the §4.1 claim is measured per surface, not just on one
-//! victim. Each victim carries its own tuned period sweep (round times
-//! differ), and the strict-decrease gate holds **per victim**.
+//! victim. Every victim runs the same period sweep, and the
+//! strict-decrease gate holds **per victim**.
 
 use rse_core::{Engine, RseConfig};
 use rse_inject::run_sharded;
@@ -65,7 +65,7 @@ pub const DEFAULT_TRIALS: u32 = 48;
 /// re-randomization lands progressively earlier in the window across
 /// the sweep — the measured success rate then falls strictly at every
 /// step; `0` (the static baseline, never re-randomized) is prepended
-/// by [`entropy_study`] itself.
+/// by [`entropy_study_corpus`] itself.
 pub const DEFAULT_PERIODS: [u64; 4] = [512, 384, 256, 192];
 
 /// The long-running victim. Every round reloads its secret-segment
@@ -207,45 +207,33 @@ const ENTROPY_NX_SRC: &str = r#"
             .space 8188
 "#;
 
-/// One victim of the entropy corpus: a surface kind, its guest source,
-/// and the period sweep tuned to its round time.
+/// One victim of the entropy corpus: a surface kind and its guest
+/// source.
 #[derive(Debug, Clone, Copy)]
-pub struct EntropyVictim {
+struct EntropyVictim {
     /// Surface kind (JSON `victim` field; stable).
-    pub kind: &'static str,
+    kind: &'static str,
     source: &'static str,
-    /// The tuned period sweep, largest first (`0` is prepended by the
-    /// study itself).
-    pub periods: [u64; 4],
 }
 
 const ENTROPY_VICTIMS: [EntropyVictim; 4] = [
     EntropyVictim {
         kind: "stack",
         source: ENTROPY_SRC,
-        periods: DEFAULT_PERIODS,
     },
     EntropyVictim {
         kind: "got",
         source: ENTROPY_GOT_SRC,
-        periods: DEFAULT_PERIODS,
     },
     EntropyVictim {
         kind: "branch",
         source: ENTROPY_BRANCH_SRC,
-        periods: DEFAULT_PERIODS,
     },
     EntropyVictim {
         kind: "nx",
         source: ENTROPY_NX_SRC,
-        periods: DEFAULT_PERIODS,
     },
 ];
-
-/// The entropy victim corpus, in stable order.
-pub fn entropy_victims() -> &'static [EntropyVictim] {
-    &ENTROPY_VICTIMS
-}
 
 /// One point of the sweep: `successes` of `trials` leak-then-strike
 /// attacks corrupted the victim under re-randomization `period`
@@ -272,7 +260,7 @@ impl EntropyPoint {
 
 /// Derives the per-trial seed from the study base seed, the sweep
 /// period, and the trial index. Pure and stable.
-pub fn trial_seed(base_seed: u64, period: u64, trial: u32) -> u64 {
+fn trial_seed(base_seed: u64, period: u64, trial: u32) -> u64 {
     let mut s = base_seed ^ fnv1a64(b"attack-entropy");
     splitmix64(&mut s);
     s ^= period.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -288,49 +276,11 @@ pub fn corpus_trial_seed(base_seed: u64, kind: &str, period: u64, trial: u32) ->
     trial_seed(base_seed ^ fnv1a64(kind.as_bytes()), period, trial)
 }
 
-/// Everything one leak-then-strike trial observed (the full story
-/// behind the boolean verdict; used by tests and period tuning).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrialDetail {
-    /// The victim's final printed output.
-    pub output: Vec<i32>,
-    /// Re-randomization passes that fired during the window.
-    pub moves: u32,
-    /// The round the attacker leaked the base.
-    pub leak_round: u32,
-    /// The round the attacker struck through the leaked base.
-    pub strike_round: u32,
-    /// Whether the attacker corrupted the final output.
-    pub success: bool,
-}
-
-/// Runs one leak-then-strike trial against the `stack`-kind victim.
-/// `period = None` is the static baseline (the segment never moves).
-/// Returns `true` when the attacker won: the victim completed but
-/// printed a corrupted datum.
-pub fn run_trial(seed: u64, period: Option<u64>) -> bool {
-    run_trial_detail(seed, period).success
-}
-
-/// Runs one leak-then-strike trial against the named corpus victim.
-///
-/// # Panics
-///
-/// Panics on an unknown victim kind.
-pub fn run_trial_kind(kind: &str, seed: u64, period: Option<u64>) -> bool {
-    let v = ENTROPY_VICTIMS
-        .iter()
-        .find(|v| v.kind == kind)
-        .unwrap_or_else(|| panic!("unknown entropy victim kind {kind:?}"));
-    run_trial_detail_src(v.source, seed, period).success
-}
-
-/// [`run_trial`] with the full trial story.
-pub fn run_trial_detail(seed: u64, period: Option<u64>) -> TrialDetail {
-    run_trial_detail_src(ENTROPY_SRC, seed, period)
-}
-
-fn run_trial_detail_src(src: &str, seed: u64, period: Option<u64>) -> TrialDetail {
+/// Runs one leak-then-strike trial against the victim assembled from
+/// `src`. `period = None` is the static baseline (the segment never
+/// moves). Returns `true` when the attacker won: the victim completed
+/// but printed a corrupted datum.
+fn attacker_wins(src: &str, seed: u64, period: Option<u64>) -> bool {
     let image = assemble(src).expect("entropy guest assembles");
     let seg = image.symbol("seg").expect("seg symbol");
     let ptrtab = image.symbol("ptrtab").expect("ptrtab symbol");
@@ -360,15 +310,12 @@ fn run_trial_detail_src(src: &str, seed: u64, period: Option<u64>) -> TrialDetai
     let mut next_due = period.unwrap_or(u64::MAX);
     let mut leaked: Option<u32> = None;
     let mut round = 0u32;
-    let mut moves = 0u32;
     let exit = loop {
         match cpu.run(&mut engine, TRIAL_FUEL) {
             StepEvent::Syscall => {
                 round += 1;
-                if period.is_some()
-                    && maybe_rerandomize(&mut cpu, &mut mlr, &mut plan, &mut next_due).is_some()
-                {
-                    moves += 1;
+                if period.is_some() {
+                    maybe_rerandomize(&mut cpu, &mut mlr, &mut plan, &mut next_due);
                 }
                 if round == leak_round {
                     leaked = Some(plan.base);
@@ -393,47 +340,7 @@ fn run_trial_detail_src(src: &str, seed: u64, period: Option<u64>) -> TrialDetai
         OsExit::Exited { code: 0 },
         "entropy victim must complete (seed {seed:#x}, period {period:?})"
     );
-    TrialDetail {
-        success: os.output != [GOLDEN_DATUM],
-        output: os.output.clone(),
-        moves,
-        leak_round,
-        strike_round,
-    }
-}
-
-/// Runs the full sweep: the static baseline (`period = 0`) followed by
-/// `periods` (largest first), `trials` attacks each, sharded across
-/// `threads` workers with the campaign engine's deterministic
-/// round-robin — the result is byte-identical at every thread count.
-pub fn entropy_study(
-    base_seed: u64,
-    trials: u32,
-    periods: &[u64],
-    threads: usize,
-) -> Vec<EntropyPoint> {
-    let mut points: Vec<u64> = vec![0];
-    points.extend_from_slice(periods);
-    let jobs: Vec<(u64, u32)> = points
-        .iter()
-        .flat_map(|&p| (0..trials).map(move |t| (p, t)))
-        .collect();
-    let wins = run_sharded(&jobs, threads, |_, &(period, trial)| {
-        let seed = trial_seed(base_seed, period, trial);
-        run_trial(seed, (period != 0).then_some(period))
-    });
-    points
-        .iter()
-        .enumerate()
-        .map(|(i, &period)| EntropyPoint {
-            period,
-            trials,
-            successes: wins[i * trials as usize..(i + 1) * trials as usize]
-                .iter()
-                .filter(|&&w| w)
-                .count() as u32,
-        })
-        .collect()
+    os.output != [GOLDEN_DATUM]
 }
 
 /// One victim's sweep in the corpus study.
@@ -446,34 +353,35 @@ pub struct VictimStudy {
 }
 
 /// Runs the §4.1 study over the whole entropy corpus: for each victim
-/// kind, the static baseline followed by that victim's tuned period
-/// sweep, `trials` attacks per point. All (victim, period, trial) jobs
-/// are sharded flat across `threads` workers; the result is
-/// byte-identical at every thread count.
-pub fn entropy_study_corpus(base_seed: u64, trials: u32, threads: usize) -> Vec<VictimStudy> {
-    let jobs: Vec<(usize, u64, u32)> = ENTROPY_VICTIMS
-        .iter()
-        .enumerate()
-        .flat_map(|(vi, v)| {
-            let mut periods: Vec<u64> = vec![0];
-            periods.extend_from_slice(&v.periods);
-            periods
-                .into_iter()
-                .flat_map(move |p| (0..trials).map(move |t| (vi, p, t)))
+/// kind, the static baseline followed by `periods` (largest first),
+/// `trials` attacks per point. All (victim, period, trial) jobs are
+/// sharded flat across `threads` workers; the result is byte-identical
+/// at every thread count.
+pub fn entropy_study_corpus(
+    base_seed: u64,
+    trials: u32,
+    periods: &[u64],
+    threads: usize,
+) -> Vec<VictimStudy> {
+    let mut sweep: Vec<u64> = vec![0];
+    sweep.extend_from_slice(periods);
+    let jobs: Vec<(usize, u64, u32)> = (0..ENTROPY_VICTIMS.len())
+        .flat_map(|vi| {
+            sweep
+                .iter()
+                .flat_map(move |&p| (0..trials).map(move |t| (vi, p, t)))
         })
         .collect();
     let wins = run_sharded(&jobs, threads, |_, &(vi, period, trial)| {
         let v = &ENTROPY_VICTIMS[vi];
         let seed = corpus_trial_seed(base_seed, v.kind, period, trial);
-        run_trial_detail_src(v.source, seed, (period != 0).then_some(period)).success
+        attacker_wins(v.source, seed, (period != 0).then_some(period))
     });
     let mut studies = Vec::new();
     let mut cursor = 0usize;
     for v in &ENTROPY_VICTIMS {
         let mut points = Vec::new();
-        let mut periods: Vec<u64> = vec![0];
-        periods.extend_from_slice(&v.periods);
-        for period in periods {
+        for &period in &sweep {
             let slice = &wins[cursor..cursor + trials as usize];
             cursor += trials as usize;
             points.push(EntropyPoint {
@@ -495,28 +403,6 @@ pub fn entropy_study_corpus(base_seed: u64, trials: u32, threads: usize) -> Vec<
 /// measurable drop in attack success.
 pub fn strictly_decreasing(points: &[EntropyPoint]) -> bool {
     points.windows(2).all(|w| w[1].successes < w[0].successes)
-}
-
-/// Serializes the study as one minified JSON object (integers only —
-/// bit-stable, committed as `BENCH_attack.json` and diffed by CI).
-pub fn study_json(base_seed: u64, points: &[EntropyPoint]) -> String {
-    let mut body = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{{\"period\":{},\"trials\":{},\"successes\":{},\"permille\":{}}}",
-            p.period,
-            p.trials,
-            p.successes,
-            p.permille()
-        ));
-    }
-    format!(
-        "{{\"name\":\"attack_entropy\",\"seed\":{},\"rounds\":{},\"points\":[{}]}}\n",
-        base_seed, ROUNDS, body
-    )
 }
 
 /// Serializes the corpus study as JSON lines, one line per victim kind
@@ -552,42 +438,25 @@ mod tests {
 
     #[test]
     fn trial_seeds_are_stable_and_spread() {
-        let a = trial_seed(1, 512, 0);
-        assert_eq!(a, trial_seed(1, 512, 0));
-        assert_ne!(a, trial_seed(2, 512, 0));
-        assert_ne!(a, trial_seed(1, 2048, 0));
-        assert_ne!(a, trial_seed(1, 512, 1));
-    }
-
-    #[test]
-    fn static_layout_always_loses_the_leak_game() {
-        for trial in 0..4 {
-            assert!(
-                run_trial(trial_seed(0xD5B, 0, trial), None),
-                "static trial {trial} should succeed for the attacker"
-            );
-        }
+        let a = corpus_trial_seed(1, "stack", 512, 0);
+        assert_eq!(a, corpus_trial_seed(1, "stack", 512, 0));
+        assert_ne!(a, corpus_trial_seed(2, "stack", 512, 0));
+        assert_ne!(a, corpus_trial_seed(1, "stack", 2048, 0));
+        assert_ne!(a, corpus_trial_seed(1, "stack", 512, 1));
     }
 
     #[test]
     fn fast_rerandomization_defeats_most_strikes() {
-        let fast = &DEFAULT_PERIODS[DEFAULT_PERIODS.len() - 1];
+        // The fastest committed period on the `stack` victim: the
+        // committed study loses 1 of 48 strikes there.
+        let fast = DEFAULT_PERIODS[DEFAULT_PERIODS.len() - 1];
         let wins = (0..8)
-            .filter(|&t| run_trial(trial_seed(0xD5B, *fast, t), Some(*fast)))
+            .filter(|&t| {
+                let seed = corpus_trial_seed(0xD5B, "stack", fast, t);
+                attacker_wins(ENTROPY_SRC, seed, Some(fast))
+            })
             .count();
         assert!(wins <= 2, "fast re-randomization barely helped: {wins}/8");
-    }
-
-    #[test]
-    fn trials_replay_deterministically_and_study_shards_identically() {
-        let seed = trial_seed(7, 2048, 3);
-        assert_eq!(run_trial(seed, Some(2048)), run_trial(seed, Some(2048)));
-        let a = entropy_study(7, 4, &[8192, 512], 1);
-        let b = entropy_study(7, 4, &[8192, 512], 4);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[0].period, 0);
-        assert_eq!(a[0].successes, 4, "static baseline must always lose");
     }
 
     #[test]
@@ -595,11 +464,11 @@ mod tests {
         // The static baseline is the corpus invariant: with no
         // re-randomization the leaked base never goes stale, so every
         // victim kind must lose every trial.
-        for v in entropy_victims() {
+        for v in &ENTROPY_VICTIMS {
             for trial in 0..2 {
                 let seed = corpus_trial_seed(0xD5B, v.kind, 0, trial);
                 assert!(
-                    run_trial_kind(v.kind, seed, None),
+                    attacker_wins(v.source, seed, None),
                     "static trial {trial} on '{}' should succeed for the attacker",
                     v.kind
                 );
@@ -611,7 +480,7 @@ mod tests {
     fn corpus_seeds_separate_victims() {
         // Same (period, trial) on different kinds must draw different
         // schedules, or the corpus is four copies of one experiment.
-        let kinds: Vec<u64> = entropy_victims()
+        let kinds: Vec<u64> = ENTROPY_VICTIMS
             .iter()
             .map(|v| corpus_trial_seed(0xD5B, v.kind, 512, 0))
             .collect();
@@ -620,18 +489,12 @@ mod tests {
                 assert_ne!(kinds[i], kinds[j], "victims {i} and {j} share a seed");
             }
         }
-        // And the stack victim's corpus seed is its own channel, not
-        // the legacy single-victim channel.
-        assert_ne!(
-            corpus_trial_seed(0xD5B, "stack", 512, 0),
-            trial_seed(0xD5B, 512, 0)
-        );
     }
 
     #[test]
     fn corpus_study_shards_identically_and_serializes_per_victim() {
-        let a = entropy_study_corpus(7, 2, 1);
-        let b = entropy_study_corpus(7, 2, 8);
+        let a = entropy_study_corpus(7, 2, &DEFAULT_PERIODS, 1);
+        let b = entropy_study_corpus(7, 2, &DEFAULT_PERIODS, 8);
         assert_eq!(a, b, "sharded corpus study diverged from sequential");
         assert_eq!(a.len(), 4);
         for s in &a {
@@ -650,8 +513,8 @@ mod tests {
     }
 
     #[test]
-    fn study_json_is_integer_only_and_ordered() {
-        let points = [
+    fn corpus_json_is_integer_only_and_ordered() {
+        let points = vec![
             EntropyPoint {
                 period: 0,
                 trials: 4,
@@ -663,11 +526,19 @@ mod tests {
                 successes: 1,
             },
         ];
-        let json = study_json(9, &points);
-        assert!(json.contains("\"period\":0,\"trials\":4,\"successes\":4,\"permille\":1000"));
-        assert!(json.contains("\"period\":512,\"trials\":4,\"successes\":1,\"permille\":250"));
         assert!(strictly_decreasing(&points));
         let flat = [points[0], points[0]];
         assert!(!strictly_decreasing(&flat));
+        let study = VictimStudy {
+            kind: "stack",
+            points,
+        };
+        let json = corpus_study_json(9, &[study]);
+        assert_eq!(
+            json,
+            "{\"name\":\"attack_entropy\",\"victim\":\"stack\",\"seed\":9,\"rounds\":40,\
+             \"points\":[{\"period\":0,\"trials\":4,\"successes\":4,\"permille\":1000},\
+             {\"period\":512,\"trials\":4,\"successes\":1,\"permille\":250}]}\n"
+        );
     }
 }

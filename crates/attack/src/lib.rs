@@ -73,9 +73,8 @@ pub use campaign::{
 };
 pub use chain::{is_chain_model, run_chain};
 pub use entropy::{
-    corpus_study_json, corpus_trial_seed, entropy_study, entropy_study_corpus, entropy_victims,
-    run_trial, run_trial_kind, strictly_decreasing, study_json, trial_seed, EntropyPoint,
-    EntropyVictim, VictimStudy, DEFAULT_PERIODS, DEFAULT_TRIALS,
+    corpus_study_json, corpus_trial_seed, entropy_study_corpus, strictly_decreasing, EntropyPoint,
+    VictimStudy, DEFAULT_PERIODS, DEFAULT_TRIALS,
 };
 pub use model::AttackModel;
 pub use outcome::{

@@ -48,8 +48,8 @@ use std::process::ExitCode;
 
 use rse_attack::{
     attack_coverage_table, compromise_permille, corpus_study_json, entropy_study_corpus,
-    run_campaign_with, run_trial_kind, strictly_decreasing, to_jsonl, AttackModel, AttackSpec,
-    CampaignOptions, EntropyPoint, VictimStudy, DEFAULT_TRIALS,
+    run_campaign_with, strictly_decreasing, to_jsonl, AttackModel, AttackSpec, CampaignOptions,
+    DEFAULT_PERIODS, DEFAULT_TRIALS,
 };
 use rse_bench::{count, numeric, seed, unknown_model, write_out};
 use rse_inject::FaultModel;
@@ -159,34 +159,13 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
 /// its JSON (one line per victim kind).
 fn run_entropy(args: &Args) -> ExitCode {
     let trials = args.trials.unwrap_or(DEFAULT_TRIALS);
-    let studies: Vec<VictimStudy> = match args.rerand_period {
-        // A single explicit period replaces every victim's tuned sweep:
-        // baseline + that one point, per victim.
-        Some(p) => rse_attack::entropy_victims()
-            .iter()
-            .map(|v| VictimStudy {
-                kind: v.kind,
-                points: [0, p]
-                    .iter()
-                    .map(|&period| {
-                        let successes = (0..trials)
-                            .filter(|&t| {
-                                let seed =
-                                    rse_attack::corpus_trial_seed(args.seed, v.kind, period, t);
-                                run_trial_kind(v.kind, seed, (period != 0).then_some(period))
-                            })
-                            .count() as u32;
-                        EntropyPoint {
-                            period,
-                            trials,
-                            successes,
-                        }
-                    })
-                    .collect(),
-            })
-            .collect(),
-        None => entropy_study_corpus(args.seed, trials, args.opts.threads),
+    // A single explicit period replaces the default sweep: baseline +
+    // that one point, per victim.
+    let periods = match args.rerand_period {
+        Some(p) => vec![p],
+        None => DEFAULT_PERIODS.to_vec(),
     };
+    let studies = entropy_study_corpus(args.seed, trials, &periods, args.opts.threads);
     eprintln!(
         "attack_campaign: entropy study, {} victims x {} trials/point, base seed {:#x}",
         studies.len(),

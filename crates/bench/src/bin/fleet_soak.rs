@@ -38,14 +38,11 @@
 //! exit, `--out <path>` write the JSONL there (crash-safe tmp+rename)
 //! instead of stdout, `--no-table` suppress the summary, `--lockstep`
 //! run the soak on the legacy lockstep engine (the equivalence shim:
-//! output bytes are identical to the event engine),
-//! `--bench-json <path>` write event-throughput numbers (wall-clock,
-//! not replayable — records are unaffected).
+//! output bytes are identical to the event engine).
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use rse_bench::{count, numeric, seed, unknown_model, write_atomic, write_out};
+use rse_bench::{count, numeric, seed, unknown_model, write_out};
 use rse_fleet::{
     churn_to_jsonl, run_churn, run_soak_with, ChurnCell, ChurnModel, ChurnSpec, FleetCell,
     FleetSpec, NodeFaultModel, Scheduler,
@@ -56,8 +53,7 @@ use rse_inject::{coverage_table, to_jsonl, Histogram};
 const DEFAULT_SEED: u64 = 0xF1EE7;
 
 const USAGE: &str = "usage: fleet_soak [--smoke | --control | --churn] [--seed N] [--nodes N] \
-     [--runs N] [--model NAME] [--list-models] [--out FILE] [--no-table] [--lockstep] \
-     [--bench-json FILE]";
+     [--runs N] [--model NAME] [--list-models] [--out FILE] [--no-table] [--lockstep]";
 
 enum Mode {
     Smoke,
@@ -74,7 +70,6 @@ struct Args {
     model: Option<String>,
     list_models: bool,
     out: Option<String>,
-    bench_json: Option<String>,
     table: bool,
     scheduler: Scheduler,
 }
@@ -88,7 +83,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         model: None,
         list_models: false,
         out: None,
-        bench_json: None,
         table: true,
         scheduler: Scheduler::Event,
     };
@@ -107,9 +101,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--list-models" => args.list_models = true,
             "--out" => {
                 args.out = Some(it.next().ok_or("--out expects a file path")?);
-            }
-            "--bench-json" => {
-                args.bench_json = Some(it.next().ok_or("--bench-json expects a file path")?);
             }
             "--no-table" => args.table = false,
             "--lockstep" => args.scheduler = Scheduler::Lockstep,
@@ -185,9 +176,7 @@ fn run_churn_mode(args: &Args) -> ExitCode {
         spec.total_runs(),
         spec.base_seed
     );
-    let started = Instant::now();
     let records = run_churn(&spec);
-    let wall = started.elapsed();
     let jsonl = churn_to_jsonl(&records);
     let what = format!("{} churn records", records.len());
     if let Err(code) = write_out("fleet_soak", args.out.as_deref(), &jsonl, &what) {
@@ -213,28 +202,6 @@ fn run_churn_mode(args: &Args) -> ExitCode {
                 r.split_brain,
             );
         }
-    }
-    if let Some(path) = &args.bench_json {
-        let events: u64 = records.iter().map(|r| r.events).sum();
-        let node_cycles: u64 = records.iter().map(|r| u64::from(r.nodes) * r.cycles).sum();
-        let wall_ms = wall.as_millis().max(1) as u64;
-        let bench = format!(
-            concat!(
-                "{{\"bench\":\"fleet_churn\",\"nodes\":{},\"runs\":{},\"events\":{},",
-                "\"wall_ms\":{},\"events_per_sec\":{},\"node_cycles_per_sec\":{}}}\n"
-            ),
-            spec.nodes,
-            records.len(),
-            events,
-            wall_ms,
-            events * 1_000 / wall_ms,
-            node_cycles * 1_000 / wall_ms,
-        );
-        if let Err(e) = write_atomic(path, bench.as_bytes()) {
-            eprintln!("fleet_soak: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("fleet_soak: wrote throughput numbers to {path}");
     }
     if records.iter().any(|r| r.split_brain != 0) {
         eprintln!("fleet_soak: FENCING VIOLATED: split-brain completion observed");

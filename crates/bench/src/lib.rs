@@ -110,7 +110,7 @@ pub fn assemble_or_die(source: &str) -> Image {
 /// A `path` that exists but is not a regular file (a device such as
 /// `/dev/null`, a symlink, a FIFO) is written in place instead: a
 /// rename would replace the node itself with a plain file.
-pub fn write_atomic(path: &str, contents: &[u8]) -> std::io::Result<()> {
+fn write_atomic(path: &str, contents: &[u8]) -> std::io::Result<()> {
     if std::fs::symlink_metadata(path).is_ok_and(|m| !m.file_type().is_file()) {
         return std::fs::write(path, contents);
     }

@@ -6,7 +6,7 @@ use crate::health::HealthState;
 use crate::ioq::{Ioq, IoqEntryKind, IoqFault};
 use crate::mau::Mau;
 use crate::module::{ChkDispatch, Module, ModuleCtx, Verdict};
-use crate::queues::{ExecuteOutEntry, FetchOutEntry, InputQueues};
+use crate::queues::{FetchOut, FetchOutEntry};
 use crate::rob_table::RobTable;
 use crate::watchdog::{SafeModeCause, Watchdog};
 use rse_isa::chk::{ops, ChkSpec};
@@ -139,7 +139,7 @@ struct PendingChk {
 pub struct Engine {
     config: RseConfig,
     ioq: Ioq,
-    queues: InputQueues,
+    fetch_out: FetchOut,
     mau: Mau,
     watchdog: Watchdog,
     slots: Vec<Option<Box<dyn Module>>>,
@@ -186,7 +186,7 @@ impl Engine {
         Engine {
             config,
             ioq: Ioq::new(config.queue_entries),
-            queues: InputQueues::new(config.queue_entries),
+            fetch_out: FetchOut::new(config.queue_entries),
             mau: Mau::new(),
             watchdog: Watchdog::new(config.watchdog),
             slots: (0..ModuleId::SLOTS).map(|_| None).collect(),
@@ -360,7 +360,7 @@ impl Engine {
                 now,
                 mem,
                 mau: &mut self.mau,
-                queues: &self.queues,
+                fetch_out: &self.fetch_out,
                 ioq_writes: &mut self.pending_ioq,
                 exceptions: &mut self.exceptions,
                 broadcast_delay: self.config.ioq_broadcast_delay,
@@ -390,7 +390,7 @@ impl Engine {
             now,
             mem,
             mau: &mut self.mau,
-            queues: &self.queues,
+            fetch_out: &self.fetch_out,
             ioq_writes: &mut self.pending_ioq,
             exceptions: &mut self.exceptions,
             broadcast_delay: self.config.ioq_broadcast_delay,
@@ -526,7 +526,7 @@ impl CoProcessor for Engine {
                     // The slot just turned on; fall through so this and
                     // subsequent instructions are latched normally.
                     self.ioq.allocate(now, info.rob, IoqEntryKind::Plain);
-                    self.queues.fetch_out.insert(
+                    self.fetch_out.insert(
                         info.rob,
                         FetchOutEntry {
                             pc: info.pc,
@@ -535,12 +535,11 @@ impl CoProcessor for Engine {
                             wrong_path: info.wrong_path,
                         },
                     );
-                    self.queues.regfile_data.insert(info.rob, info.operands);
                 }
             }
             return;
         }
-        self.queues.fetch_out.insert(
+        self.fetch_out.insert(
             info.rob,
             FetchOutEntry {
                 pc: info.pc,
@@ -549,7 +548,6 @@ impl CoProcessor for Engine {
                 wrong_path: info.wrong_path,
             },
         );
-        self.queues.regfile_data.insert(info.rob, info.operands);
         // Allocate the IOQ entry (Table 1 initial bits).
         if let Inst::Chk(spec) = info.inst {
             self.stats.chk_dispatched += 1;
@@ -631,16 +629,6 @@ impl CoProcessor for Engine {
         if !self.any_enabled {
             return;
         }
-        self.queues.execute_out.insert(
-            info.rob,
-            ExecuteOutEntry {
-                result: info.result,
-                eff_addr: info.eff_addr,
-            },
-        );
-        if let Some(loaded) = info.loaded {
-            self.queues.memory_out.insert(info.rob, loaded);
-        }
         self.for_each_module(now, mem, true, |m, ctx| m.on_execute(info, ctx));
     }
 
@@ -694,7 +682,7 @@ impl CoProcessor for Engine {
         if self.any_enabled {
             self.for_each_module(now, mem, false, |m, ctx| m.on_commit(rob, ctx));
         }
-        self.queues.retire(rob, false);
+        self.fetch_out.remove(rob);
         self.ioq.free(rob);
     }
 
@@ -706,7 +694,7 @@ impl CoProcessor for Engine {
         if self.any_enabled {
             self.for_each_module(now, mem, false, |m, ctx| m.on_squash(rob, ctx));
         }
-        self.queues.retire(rob, true);
+        self.fetch_out.remove(rob);
         self.ioq.free(rob);
     }
 
@@ -1160,10 +1148,7 @@ mod tests {
         assert_eq!(engine.stats().enables, 13);
         assert_eq!(engine.stats().disables, 12);
         assert_eq!(engine.ioq().occupancy(), 0);
-        assert!(engine.queues.fetch_out.is_empty());
-        assert!(engine.queues.regfile_data.is_empty());
-        assert!(engine.queues.execute_out.is_empty());
-        assert!(engine.queues.memory_out.is_empty());
+        assert!(engine.fetch_out.is_empty());
     }
 
     #[test]
@@ -1201,10 +1186,6 @@ mod tests {
             engine.on_squash(2, RobId(i), &mut mem);
         }
         assert_eq!(engine.ioq().occupancy(), 0);
-        assert!(engine.queues.fetch_out.is_empty());
-        assert!(engine.queues.regfile_data.is_empty());
-        assert!(engine.queues.execute_out.is_empty());
-        assert!(engine.queues.memory_out.is_empty());
-        assert_eq!(engine.queues.squashes_seen, 4);
+        assert!(engine.fetch_out.is_empty());
     }
 }

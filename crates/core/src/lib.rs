@@ -8,10 +8,10 @@
 //! The engine ([`Engine`]) implements the pipeline's
 //! [`CoProcessor`](rse_pipeline::CoProcessor) tap interface and contains:
 //!
-//! * the **input interface** ([`queues`]) — five input queues
-//!   (`Fetch_Out`, `Regfile_Data`, `Execute_Out`, `Memory_Out`,
-//!   `Commit_Out`), each with as many entries as the reorder buffer
-//!   (§3.1),
+//! * the **input interface** ([`queues`]) — the `Fetch_Out` queue, with
+//!   as many entries as the reorder buffer (§3.1); the other four input
+//!   queues' values reach the modules through the dispatch, execute,
+//!   commit and squash callbacks,
 //! * the **Instruction Output Queue** ([`ioq`]) — per-instruction
 //!   `check`/`checkValid` bits with exactly the Table 1 semantics, gating
 //!   instruction commit,
@@ -34,7 +34,7 @@
 //! * the **hardware cost model** ([`hardware_cost`]) — the paper's
 //!   footnote-4 flip-flop and gate-count estimates, parameterized.
 //!
-//! Every per-instruction structure above (input queues, IOQ, watchdog
+//! Every per-instruction structure above (`Fetch_Out`, IOQ, watchdog
 //! marks) and the modules' pending-operation maps are [`RobTable`]s:
 //! small tables kept in ascending [`RobId`](rse_pipeline::RobId) order,
 //! O(1) at the dispatch, commit and squash ends.

@@ -9,7 +9,7 @@
 //! the module keeps, filled through the MAU.
 
 use crate::mau::{Mau, MauRequest};
-use crate::queues::InputQueues;
+use crate::queues::FetchOut;
 use rse_isa::{ChkSpec, ModuleId};
 use rse_mem::MemorySystem;
 use rse_pipeline::{CoprocException, DispatchInfo, ExecuteInfo, RobId};
@@ -60,8 +60,8 @@ pub struct ModuleCtx<'a> {
     pub mem: &'a mut MemorySystem,
     /// The Memory Access Unit, shared by all modules.
     pub mau: &'a mut Mau,
-    /// Read access to the engine's input queues.
-    pub queues: &'a InputQueues,
+    /// Read access to the engine's `Fetch_Out` queue.
+    pub fetch_out: &'a FetchOut,
     pub(crate) ioq_writes: &'a mut Vec<(u64, RobId, bool)>,
     pub(crate) exceptions: &'a mut VecDeque<CoprocException>,
     pub(crate) broadcast_delay: u64,

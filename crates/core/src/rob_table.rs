@@ -8,8 +8,8 @@
 //! youngest id, commit frees the oldest, and a squash frees from the
 //! young end backwards. `RobTable` stores that window as a `VecDeque`
 //! sorted by `RobId`, so those three operations touch only an end of
-//! the deque, and everything else (out-of-order writeback into
-//! `Execute_Out`, a lookup by id) is a binary search over at most a
+//! the deque, and everything else (the DDT's pending accesses recorded
+//! at execute, a lookup by id) is a binary search over at most a
 //! ROB's worth of entries. Iteration is in ascending `RobId` order by
 //! construction, which is the order every module scan and the watchdog
 //! rely on.

@@ -1,8 +1,7 @@
 //! Property tests of `RobTable`, the ordered per-instruction table
-//! behind the input queues, the IOQ, the watchdog and the modules'
+//! behind `Fetch_Out`, the IOQ, the watchdog and the modules'
 //! pending-operation maps: under any mix of dispatch-order inserts,
-//! out-of-order inserts (writeback into `Execute_Out`, the DDT's
-//! pending accesses), re-inserts and removes at either end, in the
+//! out-of-order inserts (the DDT's pending accesses), re-inserts and removes at either end, in the
 //! middle or of absent keys, it behaves exactly like a `BTreeMap`, and
 //! iteration is always in ascending `RobId` order.
 

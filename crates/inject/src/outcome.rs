@@ -106,11 +106,6 @@ impl Outcome {
         }
     }
 
-    /// Whether an RSE module detected the fault.
-    pub fn is_detected(&self) -> bool {
-        matches!(self, Outcome::DetectedByModule(_))
-    }
-
     /// Whether the per-module health machine confined the fault
     /// (degraded-mode completion or probe-healed containment).
     pub fn is_confined(&self) -> bool {

@@ -57,15 +57,6 @@ impl Harness {
             Harness::Dsm => Some(rse_isa::ModuleId::DSM),
         }
     }
-
-    /// Whether this harness runs under the guest OS (judged by guest
-    /// output) rather than by bare result-digest comparison.
-    pub fn is_os(self) -> bool {
-        matches!(
-            self,
-            Harness::DdtOs | Harness::MlrOs | Harness::OsBare | Harness::NxOs
-        )
-    }
 }
 
 /// One guest program in the campaign corpus.

@@ -222,7 +222,9 @@ fn parse_operand(tok: &str, no: usize) -> Result<Operand, AsmError> {
     // Memory operand off(base)?
     if let Some(open) = tok.find('(') {
         if let Some(close) = tok.rfind(')') {
-            let base: Reg = tok[open + 1..close]
+            let base: Reg = tok
+                .get(open + 1..close)
+                .ok_or_else(|| err(no, format!("malformed memory operand `{tok}`")))?
                 .trim()
                 .parse()
                 .map_err(|e| err(no, format!("{e}")))?;
@@ -245,7 +247,7 @@ fn parse_operand(tok: &str, no: usize) -> Result<Operand, AsmError> {
         return Ok(Operand::Imm(v));
     }
     // Symbol with optional +N / -N offset.
-    if let Some(plus) = tok[1..].find(['+', '-']).map(|i| i + 1) {
+    if let Some(plus) = tok.get(1..).and_then(|t| t.find(['+', '-'])).map(|i| i + 1) {
         let (sym, off_text) = tok.split_at(plus);
         if is_ident(sym.trim()) {
             if let Some(off) = parse_int(off_text) {
@@ -352,6 +354,13 @@ fn layout_pass(
                     continue;
                 }
                 Item::Align(0) => continue,
+                // The emit pass pads .text with whole instruction words.
+                Item::Align(n) if section == SectionKind::Text && n % INST_BYTES != 0 => {
+                    return Err(err(
+                        line.no,
+                        format!(".align {n} in .text is not a multiple of {INST_BYTES}"),
+                    ));
+                }
                 Item::Align(n) => align_to(*pc, *n),
                 Item::Inst {
                     mnemonic,
@@ -1105,5 +1114,39 @@ mod tests {
         "#);
         assert_eq!(img.symbol("b").unwrap() % 4, 0);
         assert_eq!(img.symbol("b").unwrap(), img.data_base + 4);
+    }
+
+    #[test]
+    fn malformed_operands_are_named_errors() {
+        for (src, needle) in [
+            ("main: lw r4, )(", "malformed memory operand `)(`"),
+            ("main: sw r4, 4 ) ( r2", "malformed memory operand"),
+            ("main: li r4, \u{e9}+1", "cannot parse operand"),
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert_eq!(e.line, 1, "{src}");
+            assert!(e.msg.contains(needle), "{src}: {e}");
+        }
+    }
+
+    #[test]
+    fn text_align_must_be_a_multiple_of_the_instruction_size() {
+        // The layout pass would put `after` at a 6-byte boundary while the
+        // emit pass pads whole nop words, so `la` would load an address
+        // 2 bytes short of `after`'s instruction.
+        let e = assemble("main: la r4, after\nnop\n.align 6\nafter: li r2, 1\nsyscall\nhalt")
+            .unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains(".align 6 in .text"), "{e}");
+        // A jump to the label is not what gets blamed: the directive is.
+        let e = assemble("main: li r4, 7\nj after\nnop\n.align 6\nafter: li r2, 1\nsyscall\nhalt")
+            .unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        // Multiples of the instruction size pad with nops up to the label.
+        let img = asm("main: nop\n.align 16\nafter: halt");
+        let after = img.symbol("after").unwrap();
+        assert_eq!(after % 16, 0);
+        assert_eq!(after, img.text_base + 4 * (img.text.len() as u32 - 1));
+        assert_eq!(decode(img.text[img.text.len() - 1]).unwrap(), Inst::Halt);
     }
 }

@@ -149,15 +149,6 @@ impl MemorySystem {
         self.bus.request(now, bytes, BusPriority::Mau)
     }
 
-    /// Whether `addr` would currently hit in the L1 of the given side
-    /// (probe only; no state change).
-    pub fn would_hit_l1(&self, addr: u32, kind: AccessKind) -> bool {
-        match kind {
-            AccessKind::InstFetch => self.il1.would_hit(addr),
-            _ => self.dl1.would_hit(addr),
-        }
-    }
-
     /// Invalidates all caches (used after the loader or the MLR module
     /// writes code; see the paper's cache-coherency discussion in §4.1).
     pub fn invalidate_caches(&mut self) {

@@ -651,11 +651,6 @@ impl PeerMonitor {
         std::mem::take(&mut self.events)
     }
 
-    /// Whether any events are pending (without draining them).
-    pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
-    }
-
     /// The configured sampling interval (event schedulers assert it
     /// against their grid).
     pub fn sample_interval(&self) -> u64 {

@@ -110,10 +110,6 @@ impl LruStack {
         }
         self.entries.insert(0, (pc, word));
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[derive(Debug)]
@@ -238,11 +234,6 @@ impl Icm {
         self.stats
     }
 
-    /// Current `Icm_Cache` occupancy.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Handles arrival of the redundant copy for a pending check.
     fn redundant_copy_arrived(&mut self, now: u64, idx: usize, word: u32) {
         let latency = self.config.compare_latency;
@@ -304,7 +295,7 @@ impl Module for Icm {
                 continue;
             }
             let inst_rob = self.pending[i].inst_rob;
-            let Some(entry) = ctx.queues.fetch_out.get(inst_rob) else {
+            let Some(entry) = ctx.fetch_out.get(inst_rob) else {
                 continue;
             };
             let (pc, word) = (entry.pc, entry.word);

@@ -1,362 +1,3 @@
-//! A lightweight benchmark timer replacing the external `criterion`
-//! dependency: warmup, iteration calibration, N timed samples,
-//! median/p95/min/mean statistics, a plain-text report, and a
-//! JSON-lines emitter for machine consumption.
-//!
-//! Usage (a `[[bench]]` target with `harness = false`):
-//!
-//! ```ignore
-//! use rse_support::bench::{black_box, Harness};
-//!
-//! fn main() {
-//!     let mut h = Harness::from_env();
-//!     h.bench_function("cache/stream", |b| {
-//!         b.iter(|| black_box(expensive()));
-//!     });
-//!     h.finish();
-//! }
-//! ```
-//!
-//! Environment knobs: `RSE_BENCH_SAMPLES` (default 30),
-//! `RSE_BENCH_JSON=<path>` appends one JSON object per benchmark as a
-//! line to `<path>`.
+//! `black_box`, re-exported from `std::hint` for code that times work.
 
 pub use std::hint::black_box;
-use std::io::Write as _;
-use std::time::{Duration, Instant};
-
-/// Timing parameters for one harness.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchConfig {
-    /// Wall-clock time spent warming up before sampling.
-    pub warmup: Duration,
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Target duration of one sample; iterations per sample are
-    /// calibrated so a sample takes roughly this long.
-    pub target_sample: Duration,
-}
-
-impl Default for BenchConfig {
-    fn default() -> BenchConfig {
-        BenchConfig {
-            warmup: Duration::from_millis(60),
-            samples: 30,
-            target_sample: Duration::from_millis(2),
-        }
-    }
-}
-
-/// Per-iteration statistics of one benchmark, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stats {
-    /// Median over samples.
-    pub median_ns: f64,
-    /// 95th percentile over samples.
-    pub p95_ns: f64,
-    /// Mean over samples.
-    pub mean_ns: f64,
-    /// Fastest sample.
-    pub min_ns: f64,
-    /// Number of samples taken.
-    pub samples: usize,
-    /// Iterations per sample after calibration.
-    pub iters_per_sample: u64,
-}
-
-impl Stats {
-    /// Computes statistics from per-iteration sample times.
-    fn from_samples(mut ns: Vec<f64>, iters: u64) -> Stats {
-        assert!(!ns.is_empty());
-        ns.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
-        let n = ns.len();
-        let median = if n % 2 == 1 {
-            ns[n / 2]
-        } else {
-            (ns[n / 2 - 1] + ns[n / 2]) / 2.0
-        };
-        let p95_idx = ((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1;
-        Stats {
-            median_ns: median,
-            p95_ns: ns[p95_idx],
-            mean_ns: ns.iter().sum::<f64>() / n as f64,
-            min_ns: ns[0],
-            samples: n,
-            iters_per_sample: iters,
-        }
-    }
-
-    /// The benchmark result as one JSON object (hand-rolled; the
-    /// workspace is dependency-free by policy).
-    pub fn json_line(&self, name: &str) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"median_ns\":{:.1},\"p95_ns\":{:.1},\"mean_ns\":{:.1},\
-             \"min_ns\":{:.1},\"samples\":{},\"iters_per_sample\":{}}}",
-            escape_json(name),
-            self.median_ns,
-            self.p95_ns,
-            self.mean_ns,
-            self.min_ns,
-            self.samples,
-            self.iters_per_sample,
-        )
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats nanoseconds human-readably.
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:8.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:8.2} µs", ns / 1_000.0)
-    } else {
-        format!("{:8.2} ms", ns / 1_000_000.0)
-    }
-}
-
-/// The measurement loop handed to benchmark closures.
-pub struct Bencher {
-    config: BenchConfig,
-    stats: Option<Stats>,
-}
-
-impl Bencher {
-    /// Calibrates, warms up, then takes `config.samples` timed samples
-    /// of repeated calls to `f`, keeping per-iteration times.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        // Calibrate iterations per sample from a single probe call.
-        let t0 = Instant::now();
-        black_box(f());
-        let probe_ns = t0.elapsed().as_nanos().max(1) as u64;
-        let iters = (self.config.target_sample.as_nanos() as u64 / probe_ns).clamp(1, 10_000_000);
-
-        // Warm up for the configured wall-clock budget.
-        let warm_start = Instant::now();
-        while warm_start.elapsed() < self.config.warmup {
-            black_box(f());
-        }
-
-        let mut samples = Vec::with_capacity(self.config.samples);
-        for _ in 0..self.config.samples {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        self.stats = Some(Stats::from_samples(samples, iters));
-    }
-}
-
-/// The top-level benchmark driver: runs benchmark closures, prints a
-/// fixed-width report as it goes, and optionally appends JSON lines.
-pub struct Harness {
-    config: BenchConfig,
-    json_path: Option<String>,
-    results: Vec<(String, Stats)>,
-    header_printed: bool,
-}
-
-impl Harness {
-    /// A harness with explicit configuration.
-    pub fn new(config: BenchConfig) -> Harness {
-        Harness {
-            config,
-            json_path: None,
-            results: Vec::new(),
-            header_printed: false,
-        }
-    }
-
-    /// A harness configured from the environment (`RSE_BENCH_SAMPLES`,
-    /// `RSE_BENCH_JSON`).
-    pub fn from_env() -> Harness {
-        let mut config = BenchConfig::default();
-        if let Some(n) = std::env::var("RSE_BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            config.samples = n;
-        }
-        let mut h = Harness::new(config);
-        h.json_path = std::env::var("RSE_BENCH_JSON").ok();
-        h
-    }
-
-    /// Runs one benchmark and records/prints its result.
-    pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) {
-        let mut b = Bencher {
-            config: self.config,
-            stats: None,
-        };
-        f(&mut b);
-        let stats = b
-            .stats
-            .unwrap_or_else(|| panic!("benchmark `{name}` never called Bencher::iter"));
-        if !self.header_printed {
-            println!(
-                "{:<44} {:>11} {:>11} {:>11}",
-                "benchmark", "median", "p95", "min"
-            );
-            self.header_printed = true;
-        }
-        println!(
-            "{:<44} {} {} {}",
-            name,
-            fmt_ns(stats.median_ns),
-            fmt_ns(stats.p95_ns),
-            fmt_ns(stats.min_ns)
-        );
-        if let Some(path) = &self.json_path {
-            if let Ok(mut file) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-            {
-                let _ = writeln!(file, "{}", stats.json_line(name));
-            }
-        }
-        self.results.push((name.to_string(), stats));
-    }
-
-    /// Opens a named group: benchmark names gain a `group/` prefix and
-    /// the group can override the sample count (mirrors the criterion
-    /// `benchmark_group`/`sample_size` surface).
-    pub fn benchmark_group(&mut self, name: &str) -> Group<'_> {
-        Group {
-            harness: self,
-            prefix: name.to_string(),
-            samples: None,
-        }
-    }
-
-    /// All recorded results.
-    pub fn results(&self) -> &[(String, Stats)] {
-        &self.results
-    }
-
-    /// Median-time speedup of `contender` over `baseline` (how many
-    /// times faster the contender ran). `None` until both benchmarks
-    /// have been recorded.
-    pub fn speedup(&self, baseline: &str, contender: &str) -> Option<f64> {
-        let median = |n: &str| {
-            self.results
-                .iter()
-                .find(|(name, _)| name == n)
-                .map(|(_, s)| s.median_ns)
-        };
-        Some(median(baseline)? / median(contender)?)
-    }
-
-    /// Finishes the run (prints a terse footer).
-    pub fn finish(self) {
-        println!("\n{} benchmark(s) complete", self.results.len());
-    }
-}
-
-/// A named benchmark group; see [`Harness::benchmark_group`].
-pub struct Group<'a> {
-    harness: &'a mut Harness,
-    prefix: String,
-    samples: Option<usize>,
-}
-
-impl Group<'_> {
-    /// Overrides the sample count for benchmarks in this group.
-    pub fn sample_size(&mut self, samples: usize) -> &mut Self {
-        self.samples = Some(samples);
-        self
-    }
-
-    /// Runs one benchmark inside the group.
-    pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) {
-        let full = format!("{}/{}", self.prefix, name);
-        let saved = self.harness.config.samples;
-        if let Some(n) = self.samples {
-            self.harness.config.samples = n;
-        }
-        self.harness.bench_function(&full, f);
-        self.harness.config.samples = saved;
-    }
-
-    /// Closes the group (no-op; provided for criterion parity).
-    pub fn finish(self) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick() -> BenchConfig {
-        BenchConfig {
-            warmup: Duration::from_millis(1),
-            samples: 5,
-            target_sample: Duration::from_micros(50),
-        }
-    }
-
-    #[test]
-    fn stats_median_p95_min() {
-        let s = Stats::from_samples(vec![5.0, 1.0, 3.0, 2.0, 4.0], 10);
-        assert_eq!(s.median_ns, 3.0);
-        assert_eq!(s.min_ns, 1.0);
-        assert_eq!(s.p95_ns, 5.0);
-        assert_eq!(s.mean_ns, 3.0);
-        let even = Stats::from_samples(vec![1.0, 2.0, 3.0, 4.0], 1);
-        assert_eq!(even.median_ns, 2.5);
-    }
-
-    #[test]
-    fn json_line_shape_and_escaping() {
-        let s = Stats::from_samples(vec![2.0], 7);
-        let line = s.json_line("group/name \"x\"");
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\\\"x\\\""));
-        assert!(line.contains("\"iters_per_sample\":7"));
-        assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    fn harness_runs_and_records() {
-        let mut h = Harness::new(quick());
-        h.bench_function("tiny/add", |b| {
-            let mut x = 0u64;
-            b.iter(|| {
-                x = x.wrapping_add(black_box(3));
-                x
-            });
-        });
-        let mut g = h.benchmark_group("grp");
-        g.sample_size(3);
-        g.bench_function("mul", |b| {
-            let mut x = 1u64;
-            b.iter(|| {
-                x = x.wrapping_mul(black_box(5));
-                x
-            });
-        });
-        g.finish();
-        assert_eq!(h.results().len(), 2);
-        assert_eq!(h.results()[1].0, "grp/mul");
-        assert_eq!(h.results()[1].1.samples, 3);
-        for (_, s) in h.results() {
-            assert!(s.median_ns > 0.0 && s.min_ns <= s.median_ns && s.median_ns <= s.p95_ns);
-        }
-        let ratio = h.speedup("tiny/add", "grp/mul").unwrap();
-        assert!(ratio > 0.0 && ratio.is_finite());
-        assert!(h.speedup("tiny/add", "missing").is_none());
-    }
-}

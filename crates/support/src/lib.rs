@@ -3,7 +3,7 @@
 //! The workspace builds and tests **fully offline**: no external
 //! registry crates appear anywhere in the dependency graph (see
 //! `DESIGN.md`, "Hermetic dependencies"). This crate supplies, from
-//! in-repo code only, the three capabilities that previously pulled in
+//! in-repo code only, the two capabilities that previously pulled in
 //! external dependencies:
 //!
 //! * [`rng`] — deterministic PRNGs (SplitMix64 seeder + xoshiro256\*\*
@@ -14,10 +14,9 @@
 //!   generators, a case runner with configurable case counts, greedy
 //!   choice-stream shrinking, and `RSE_PT_SEED` failure reproduction
 //!   (replaces `proptest`; the macro and strategy surface is shaped so
-//!   existing tests ported mechanically),
-//! * [`bench`] — a benchmark timer with warmup, calibrated samples,
-//!   median/p95 statistics and a JSON-lines emitter (replaces
-//!   `criterion`).
+//!   existing tests ported mechanically).
+//!
+//! [`bench`] re-exports `std::hint::black_box` for code that times work.
 //!
 //! Test files normally start with `use rse_support::prelude::*;`.
 

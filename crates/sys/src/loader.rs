@@ -5,7 +5,7 @@
 //! loader-provided prologue) can hand it to the Memory Layout
 //! Randomization module with `MLR_EXEC_HDR`/`MLR_PI_RAND` CHECKs.
 
-use rse_isa::image::{ExecHeader, HEADER_WORDS};
+use rse_isa::image::ExecHeader;
 use rse_isa::{layout, Image};
 use rse_mem::MemorySystem;
 use rse_pipeline::Pipeline;
@@ -15,25 +15,11 @@ use rse_pipeline::Pipeline;
 /// program segments.
 pub const HEADER_ADDR: u32 = 0x0EFF_0000;
 
-/// Guest address of the MLR result block (randomized bases), immediately
-/// after the header (the module's "predefined memory locations").
-pub const RESULTS_ADDR: u32 = HEADER_ADDR + (HEADER_WORDS as u32) * 4;
-
 /// Writes `header` into guest memory at [`HEADER_ADDR`].
 pub fn write_exec_header(mem: &mut MemorySystem, header: &ExecHeader) {
     for (i, w) in header.to_words().iter().enumerate() {
         mem.memory.write_u32(HEADER_ADDR + 4 * i as u32, *w);
     }
-}
-
-/// Reads the MLR result block (randomized shlib/stack/heap bases) from
-/// guest memory.
-pub fn read_randomized_bases(mem: &MemorySystem) -> (u32, u32, u32) {
-    (
-        mem.memory.read_u32(RESULTS_ADDR),
-        mem.memory.read_u32(RESULTS_ADDR + 4),
-        mem.memory.read_u32(RESULTS_ADDR + 8),
-    )
 }
 
 /// Loads `image` into `cpu` and assembles its special header in guest
@@ -63,6 +49,7 @@ pub fn default_stack_base() -> u32 {
 mod tests {
     use super::*;
     use rse_isa::asm::assemble;
+    use rse_isa::image::HEADER_WORDS;
     use rse_mem::MemConfig;
     use rse_pipeline::PipelineConfig;
 

@@ -11,7 +11,7 @@
 //! committed").
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
-use crate::loader::{thread_stack_pointer, THREAD_STACK_BYTES};
+use crate::loader::thread_stack_pointer;
 use crate::recovery::{self, RecoveryOutcome};
 use rse_core::Engine;
 use rse_isa::{layout, syscalls, ModuleId, Reg};
@@ -139,7 +139,6 @@ pub struct Os {
     pub strings: Vec<String>,
     requests_issued: u64,
     heap_brk: u32,
-    stack_base: u32,
     stats: OsStats,
     /// Outcome of the most recent recovery.
     pub last_recovery: Option<RecoveryOutcome>,
@@ -162,7 +161,6 @@ impl Os {
             strings: Vec::new(),
             requests_issued: 0,
             heap_brk: layout::HEAP_BASE,
-            stack_base: layout::STACK_BASE,
             stats: OsStats::default(),
             last_recovery: None,
         }
@@ -176,17 +174,6 @@ impl Os {
     /// The scheduling state of thread `tid`.
     pub fn thread_state(&self, tid: usize) -> Option<ThreadState> {
         self.threads.get(tid).map(|t| t.state)
-    }
-
-    /// Number of threads ever created.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Overrides the stack base used for new thread stacks (e.g. the
-    /// MLR-randomized base).
-    pub fn set_stack_base(&mut self, base: u32) {
-        self.stack_base = base;
     }
 
     /// Runs the process until exit, timeout, or an unrecoverable error.
@@ -280,7 +267,7 @@ impl Os {
                     let tid = self.threads.len();
                     let mut regs = [0u32; 32];
                     regs[Reg::A0.index()] = a1;
-                    regs[Reg::SP.index()] = thread_stack_pointer(self.stack_base, tid);
+                    regs[Reg::SP.index()] = thread_stack_pointer(layout::STACK_BASE, tid);
                     self.threads.push(Thread {
                         ctx: CpuContext { regs, pc: a0 },
                         state: ThreadState::Ready,
@@ -503,12 +490,6 @@ impl Os {
             }
         }
     }
-}
-
-/// Validates the stack sizing assumption (threads must fit below the
-/// stack base).
-pub fn max_threads_for_stack(stack_base: u32, lowest: u32) -> usize {
-    ((stack_base - lowest) / THREAD_STACK_BYTES) as usize
 }
 
 #[cfg(test)]

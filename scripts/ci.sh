@@ -22,9 +22,6 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
-echo "== cargo build --benches --offline"
-cargo build --benches --offline --workspace
-
 echo "== cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
@@ -213,14 +210,12 @@ echo "== 1k-node churn smoke campaign (chaos engine, fixed seed)"
 # partition, and full weather (rolling restarts + rack cut + cascading
 # failure). Double-replayed and diffed against the pinned golden under
 # a wall-clock budget; any split-brain completion fails the gate, and
-# the weather runs must actually fail over. The throughput numbers go to
-# scratch space, so CI never rewrites the committed BENCH_fleet.json.
-# Regenerate the golden and the throughput artifact with:
+# the weather runs must actually fail over.
+# Regenerate the golden with:
 #   cargo run --release --offline -p rse-bench --bin fleet_soak -- \
-#     --churn --no-table --out tests/golden/churn_smoke.jsonl \
-#     --bench-json BENCH_fleet.json
+#     --churn --no-table --out tests/golden/churn_smoke.jsonl
 timeout 300 cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
-  --churn --no-table --out "$TMP/churn_a" --bench-json "$TMP/churn_bench" 2>/dev/null \
+  --churn --no-table --out "$TMP/churn_a" 2>/dev/null \
   || { echo "FAIL: churn smoke failed or blew the 300s wall-clock budget"; exit 1; }
 timeout 300 cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
   --churn --no-table --out "$TMP/churn_b" 2>/dev/null \
@@ -237,8 +232,6 @@ grep -q '"model":"full-weather"' "$TMP/churn_a" \
 if grep '"model":"full-weather"' "$TMP/churn_a" | grep -q '"failovers":0,'; then
   echo "FAIL: full-weather run executed no failovers"; exit 1
 fi
-grep -q '"events_per_sec":' "$TMP/churn_bench" \
-  || { echo "FAIL: churn bench JSON missing throughput numbers"; exit 1; }
 echo "churn smoke: deterministic 1k-node weather, matches golden, zero split-brain"
 
 echo "== benchmark pin tests (perfbench: campaign digests, kernel cycles, fleet digests)"
