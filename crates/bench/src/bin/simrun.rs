@@ -10,8 +10,11 @@
 //!
 //! The program runs under the guest OS (`rse-sys`), so it may use every
 //! syscall in `rse_isa::syscalls` (threads, locks, the network-request
-//! source, printing). Exit status mirrors the guest outcome.
+//! source, printing). Exit status mirrors the guest outcome: a guest
+//! exit code of 1–127 is passed through, any other nonzero code exits 1,
+//! and a malformed flag value is named on stderr and exits 2.
 
+use rse_bench::numeric;
 use rse_core::{Engine, RseConfig};
 use rse_isa::asm::assemble;
 use rse_isa::{disasm, ModuleId};
@@ -39,16 +42,23 @@ struct Options {
     show_stats: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: simrun <program.asm> [--framework] [--icm] [--mlr] [--ddt] [--ahbm]\n\
-         \x20             [--check-control-flow] [--requests N] [--max-cycles N]\n\
-         \x20             [--fault INDEX:XORMASK] [--disasm] [--stats]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "usage: simrun <program.asm> [--framework] [--icm] [--mlr] [--ddt] [--ahbm]
+              [--check-control-flow] [--requests N] [--max-cycles N]
+              [--fault INDEX:XORMASK] [--disasm] [--stats]";
+
+/// Parses `--fault INDEX:XORMASK` (decimal index, hex mask with an
+/// optional `0x`).
+fn fault(v: Option<String>) -> Result<FetchFault, String> {
+    let v = v.ok_or("--fault expects INDEX:XORMASK")?;
+    v.split_once(':')
+        .and_then(|(idx, mask)| {
+            let xor_mask = u32::from_str_radix(mask.trim_start_matches("0x"), 16).ok()?;
+            Some(FetchFault::xor(idx.parse().ok()?, xor_mask))
+        })
+        .ok_or_else(|| format!("--fault: '{v}' is not INDEX:XORMASK (decimal index, hex mask)"))
 }
 
-fn parse_args() -> Options {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         path: String::new(),
         framework: false,
@@ -63,7 +73,6 @@ fn parse_args() -> Options {
         show_disasm: false,
         show_stats: false,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--framework" => opts.framework = true,
@@ -74,39 +83,31 @@ fn parse_args() -> Options {
             "--check-control-flow" => opts.check_control_flow = true,
             "--disasm" => opts.show_disasm = true,
             "--stats" => opts.show_stats = true,
-            "--requests" => {
-                opts.requests = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--max-cycles" => {
-                opts.max_cycles = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--fault" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                let (idx, mask) = spec.split_once(':').unwrap_or_else(|| usage());
-                let index = idx.parse().unwrap_or_else(|_| usage());
-                let xor_mask = u32::from_str_radix(mask.trim_start_matches("0x"), 16)
-                    .unwrap_or_else(|_| usage());
-                opts.fault = Some(FetchFault::xor(index, xor_mask));
-            }
-            "--help" | "-h" => usage(),
+            "--requests" => opts.requests = numeric("--requests", args.next())?,
+            "--max-cycles" => opts.max_cycles = numeric("--max-cycles", args.next())?,
+            "--fault" => opts.fault = Some(fault(args.next())?),
+            "--help" | "-h" => return Err(String::new()),
             path if !path.starts_with('-') && opts.path.is_empty() => opts.path = path.into(),
-            _ => usage(),
+            _ => return Err(format!("unexpected argument '{arg}'")),
         }
     }
     if opts.path.is_empty() {
-        usage();
+        return Err(String::new());
     }
-    opts
+    Ok(opts)
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => {
+            if !e.is_empty() {
+                eprintln!("simrun: {e}");
+            }
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let source = match std::fs::read_to_string(&opts.path) {
         Ok(s) => s,
         Err(e) => {
@@ -205,7 +206,9 @@ fn main() -> ExitCode {
         OsExit::Exited { code: 0 } | OsExit::AllThreadsDone => ExitCode::SUCCESS,
         OsExit::Exited { code } => {
             eprintln!("simrun: guest exited with code {code}");
-            ExitCode::from((code & 0x7F) as u8)
+            // A status byte cannot carry codes past 127 (shells read 128+
+            // as signals, and 256 would wrap to success): those exit 1.
+            ExitCode::from(u8::try_from(code).ok().filter(|&c| c < 128).unwrap_or(1))
         }
         OsExit::Timeout => {
             eprintln!("simrun: cycle budget exhausted");

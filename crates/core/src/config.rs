@@ -35,13 +35,6 @@ impl Default for RseConfig {
     }
 }
 
-impl RseConfig {
-    /// The paper's configuration (identical to `default`).
-    pub fn paper() -> RseConfig {
-        RseConfig::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

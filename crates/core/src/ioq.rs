@@ -1,8 +1,10 @@
-//! The Instruction Output Queue (IOQ).
+//! The Instruction Output Queue (IOQ): the engine's one record per
+//! in-flight instruction.
 //!
 //! An IOQ entry is allocated for **every** instruction when it is
-//! forwarded to the framework (simultaneously with dispatch, §3.2). The
-//! entry carries two bits whose meaning is Table 1 of the paper:
+//! forwarded to the framework (simultaneously with dispatch, §3.2) and
+//! freed once, when the instruction commits or is squashed. The entry
+//! carries two bits whose meaning is Table 1 of the paper:
 //!
 //! | `checkValid` | `check` | Meaning |
 //! |---|---|---|
@@ -10,14 +12,47 @@
 //! | 1 | 0 | non-CHECK instruction, or CHECK that completed without error — commit proceeds |
 //! | 1 | 1 | a module detected an error — the pipeline is flushed |
 //!
-//! The IOQ also records the bookkeeping the self-checking watchdog of
-//! §3.4 monitors: allocation time, the time of the 0→1 `checkValid`
-//! transition, and whether a module (as opposed to a stuck-at fault)
-//! produced the bits.
+//! The same entry holds the instruction's slot of the `Fetch_Out` input
+//! queue (§3.1). The paper's interface has five input queues —
+//! `Fetch_Out`, `Regfile_Data`, `Execute_Out`, `Memory_Out` and
+//! `Commit_Out` — each with one entry per reorder-buffer slot. Modules
+//! here receive operand values, execute results and loaded values
+//! through the [`Module::on_dispatch`](crate::Module::on_dispatch) and
+//! [`Module::on_execute`](crate::Module::on_execute) callbacks, and the
+//! `Commit_Out` indications through `on_commit`/`on_squash`. Only
+//! `Fetch_Out` is kept, because modules read it back by instruction
+//! after dispatch ([`Ioq::fetched`]). The
+//! [`hardware_cost`](crate::hardware_cost) model still prices all five
+//! queues.
+//!
+//! Entries are indexed by the instruction's unique identifier (the paper
+//! uses the ROB entry number; we use the dispatch sequence [`RobId`],
+//! stored in a [`RobTable`]). Besides the bits, an entry records the
+//! bookkeeping of the §3.4 self-checking watchdog and the per-module
+//! output multiplexer: allocation time, the watchdog's last timeout
+//! charge, whether a module (as opposed to a stuck-at fault) produced
+//! the bits, and whether the multiplexer forced a CHECK to commit as a
+//! NOP.
 
 use crate::rob_table::RobTable;
-use rse_isa::ModuleId;
+use rse_isa::{Inst, ModuleId};
 use rse_pipeline::{CommitGate, RobId};
+
+/// One entry of the `Fetch_Out` queue: the fetched instruction as the
+/// pipeline saw it.
+#[derive(Debug, Clone, Copy)]
+pub struct FetchOutEntry {
+    /// Program counter.
+    pub pc: u32,
+    /// Raw instruction word (post any in-flight corruption — exactly what
+    /// the pipeline is executing; the ICM compares this against the
+    /// redundant copy).
+    pub word: u32,
+    /// Decoded instruction.
+    pub inst: Inst,
+    /// Whether the pipeline flagged it as wrong-path.
+    pub wrong_path: bool,
+}
 
 /// What kind of instruction an IOQ entry was allocated for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,6 +64,16 @@ pub enum IoqEntryKind {
     /// A non-blocking CHECK: the module sets `checkValid` immediately
     /// after acquiring the instruction, so commit never waits.
     NonBlockingChk(ModuleId),
+}
+
+impl IoqEntryKind {
+    /// The module a CHECK entry belongs to; `None` for a plain entry.
+    pub(crate) fn module(self) -> Option<ModuleId> {
+        match self {
+            IoqEntryKind::Plain => None,
+            IoqEntryKind::BlockingChk(m) | IoqEntryKind::NonBlockingChk(m) => Some(m),
+        }
+    }
 }
 
 /// Injectable stuck-at faults on the IOQ output bits (the §3.4 / Table 2
@@ -70,16 +115,41 @@ impl std::fmt::Display for IoqFault {
     }
 }
 
+/// The engine's record of one in-flight instruction.
 #[derive(Debug, Clone, Copy)]
-struct IoqEntry {
-    kind: IoqEntryKind,
+pub(crate) struct IoqEntry {
+    /// The instruction's `Fetch_Out` slot.
+    pub(crate) fetched: FetchOutEntry,
+    pub(crate) kind: IoqEntryKind,
     check_valid: bool,
-    check: bool,
-    allocated_at: u64,
-    valid_set_at: Option<u64>,
+    pub(crate) check: bool,
+    pub(crate) allocated_at: u64,
     /// Whether a module actually wrote the result (distinguishes a real
     /// completion from a stuck-at-1 `checkValid`).
-    module_wrote: bool,
+    pub(crate) module_wrote: bool,
+    /// Whether the per-module output multiplexer forces this CHECK to
+    /// commit as a NOP: its module was quarantined or disabled at
+    /// dispatch or while the entry was in flight.
+    pub(crate) muxed: bool,
+    /// The last cycle the watchdog charged this entry a timeout, so the
+    /// timer re-arms instead of firing every cycle.
+    pub(crate) charged_at: Option<u64>,
+}
+
+impl IoqEntry {
+    /// `(checkValid, check)` as the output wires show them under the
+    /// stuck-at `fault`.
+    fn observed_bits(&self, fault: Option<IoqFault>) -> (bool, bool) {
+        let (mut valid, mut check) = (self.check_valid, self.check);
+        match fault {
+            Some(IoqFault::ValidStuck0) => valid = false,
+            Some(IoqFault::ValidStuck1) => valid = true,
+            Some(IoqFault::CheckStuck0) => check = false,
+            Some(IoqFault::CheckStuck1) => check = true,
+            None => {}
+        }
+        (valid, check)
+    }
 }
 
 /// The Instruction Output Queue.
@@ -98,12 +168,15 @@ pub struct Ioq {
     pub error_verdicts: u64,
 }
 
-/// The module a CHECK entry belongs to, if the entry is a CHECK.
-fn entry_module(kind: IoqEntryKind) -> Option<ModuleId> {
-    match kind {
-        IoqEntryKind::Plain => None,
-        IoqEntryKind::BlockingChk(m) | IoqEntryKind::NonBlockingChk(m) => Some(m),
-    }
+/// The fault observable on the output bits of an entry of `kind`: the
+/// global fault if present, else the module-targeted fault when the
+/// entry belongs to the targeted module.
+fn observed_fault(
+    fault: Option<IoqFault>,
+    module_fault: Option<(ModuleId, IoqFault)>,
+    kind: IoqEntryKind,
+) -> Option<IoqFault> {
+    fault.or_else(|| module_fault.and_then(|(m, f)| (kind.module() == Some(m)).then_some(f)))
 }
 
 impl Ioq {
@@ -146,27 +219,22 @@ impl Ioq {
     /// entries — used by the engine's self-test probe evaluation, which
     /// reads the same wires as the commit unit.
     pub fn effective_fault_for(&self, module: ModuleId) -> Option<IoqFault> {
-        self.effective_fault(IoqEntryKind::BlockingChk(module))
+        observed_fault(
+            self.fault,
+            self.module_fault,
+            IoqEntryKind::BlockingChk(module),
+        )
     }
 
-    /// The fault observable on the output bits of an entry of `kind`:
-    /// the global fault if present, else the module-targeted fault when
-    /// the entry belongs to the targeted module.
-    fn effective_fault(&self, kind: IoqEntryKind) -> Option<IoqFault> {
-        self.fault.or_else(|| {
-            self.module_fault
-                .and_then(|(m, f)| (entry_module(kind) == Some(m)).then_some(f))
-        })
-    }
-
-    /// Allocates an entry for a dispatched instruction.
+    /// Allocates the entry for a dispatched instruction, holding its
+    /// `Fetch_Out` slot.
     ///
     /// # Panics
     ///
     /// Panics if the IOQ would exceed its capacity — the pipeline cannot
     /// have more in-flight instructions than ROB entries, so this
     /// indicates a bookkeeping bug.
-    pub fn allocate(&mut self, now: u64, rob: RobId, kind: IoqEntryKind) {
+    pub fn allocate(&mut self, now: u64, rob: RobId, kind: IoqEntryKind, fetched: FetchOutEntry) {
         assert!(
             self.entries.len() < self.capacity,
             "IOQ overflow: more entries than the ROB"
@@ -181,12 +249,14 @@ impl Ioq {
         self.entries.insert(
             rob,
             IoqEntry {
+                fetched,
                 kind,
                 check_valid,
                 check,
                 allocated_at: now,
-                valid_set_at: check_valid.then_some(now),
                 module_wrote: false,
+                muxed: false,
+                charged_at: None,
             },
         );
     }
@@ -194,11 +264,8 @@ impl Ioq {
     /// A module (or the enable/disable unit, or the asynchronous-mode
     /// fast path) writes the result bits for `rob`: `error` selects the
     /// `check` bit, and `checkValid` is set.
-    pub fn complete(&mut self, now: u64, rob: RobId, error: bool) {
+    pub fn complete(&mut self, rob: RobId, error: bool) {
         if let Some(e) = self.entries.get_mut(rob) {
-            if !e.check_valid {
-                e.valid_set_at = Some(now);
-            }
             e.check_valid = true;
             if error && !e.check {
                 self.error_verdicts += 1;
@@ -213,6 +280,21 @@ impl Ioq {
         self.entries.remove(rob);
     }
 
+    /// The `Fetch_Out` slot of a live instruction.
+    pub fn fetched(&self, rob: RobId) -> Option<&FetchOutEntry> {
+        self.entries.get(rob).map(|e| &e.fetched)
+    }
+
+    /// The record of a live instruction, with the *unfaulted* bits.
+    pub(crate) fn entry(&self, rob: RobId) -> Option<&IoqEntry> {
+        self.entries.get(rob)
+    }
+
+    /// The record of a live instruction, mutably.
+    pub(crate) fn entry_mut(&mut self, rob: RobId) -> Option<&mut IoqEntry> {
+        self.entries.get_mut(rob)
+    }
+
     /// Reads the commit gate for `rob`, applying any injected stuck-at
     /// fault to the observed bits (the fault sits on the output wires to
     /// the commit unit, exactly as in Table 2).
@@ -222,15 +304,7 @@ impl Ioq {
             // behaves like `10`.
             return CommitGate::Pass;
         };
-        let mut valid = e.check_valid;
-        let mut check = e.check;
-        match self.effective_fault(e.kind) {
-            Some(IoqFault::ValidStuck0) => valid = false,
-            Some(IoqFault::ValidStuck1) => valid = true,
-            Some(IoqFault::CheckStuck0) => check = false,
-            Some(IoqFault::CheckStuck1) => check = true,
-            None => {}
-        }
+        let (valid, check) = e.observed_bits(observed_fault(self.fault, self.module_fault, e.kind));
         match (valid, check) {
             (false, _) => CommitGate::Stall,
             (true, false) => CommitGate::Pass,
@@ -238,56 +312,40 @@ impl Ioq {
         }
     }
 
-    /// Iterates over entries for the watchdog: `(rob, kind, allocated_at,
-    /// check_valid, module_wrote)`.
+    /// The watchdog's timer scan: each live blocking CHECK whose
+    /// `checkValid` reads 0, with its owning module, in ascending ROB
+    /// order.
     ///
     /// The watchdog monitors the same output wires the commit unit reads,
     /// so an injected stuck-at fault is visible here too — that is
     /// exactly how §3.4 detects a stuck-at-0 `checkValid` (it looks like
     /// a module that never makes progress).
     ///
-    /// Entries come out in ascending ROB order, the order the table
-    /// keeps them in: when several modules time out in the same cycle,
-    /// the anomaly charge sequence (and hence the health state machine's
-    /// event order) is fixed by program order.
-    pub fn watchdog_view(
-        &self,
-    ) -> impl Iterator<Item = (RobId, IoqEntryKind, u64, bool, bool)> + '_ {
-        self.entries.iter().map(|(rob, e)| {
-            let valid = match self.effective_fault(e.kind) {
-                Some(IoqFault::ValidStuck0) => false,
-                Some(IoqFault::ValidStuck1) => true,
-                _ => e.check_valid,
+    /// Entries come out in the order the table keeps them in: when
+    /// several modules time out in the same cycle, the anomaly charge
+    /// sequence (and hence the health state machine's event order) is
+    /// fixed by program order.
+    pub(crate) fn timers(&mut self) -> impl Iterator<Item = (RobId, ModuleId, &mut IoqEntry)> {
+        let (fault, module_fault) = (self.fault, self.module_fault);
+        self.entries.iter_mut().filter_map(move |(rob, e)| {
+            let IoqEntryKind::BlockingChk(m) = e.kind else {
+                return None;
             };
-            (rob, e.kind, e.allocated_at, valid, e.module_wrote)
+            let (valid, _) = e.observed_bits(observed_fault(fault, module_fault, e.kind));
+            (!valid).then_some((rob, m, e))
         })
     }
 
-    /// The kind of a live entry.
-    pub fn entry_kind(&self, rob: RobId) -> Option<IoqEntryKind> {
-        self.entries.get(rob).map(|e| e.kind)
-    }
-
-    /// Raw `(kind, module_wrote, check)` of a live entry — the
-    /// *unfaulted* bits, for the engine's commit-time bookkeeping (clean
-    /// commits, NOP-mux accounting).
-    pub fn entry_state(&self, rob: RobId) -> Option<(IoqEntryKind, bool, bool)> {
-        self.entries
-            .get(rob)
-            .map(|e| (e.kind, e.module_wrote, e.check))
-    }
-
-    /// Live CHECK entries of `module` whose result was never written by
-    /// the module. When a module heals out of quarantine these stale
-    /// entries would stall commit forever (their CHECKs were dropped
-    /// while decoupled), so the engine force-NOPs them. Ascending ROB
-    /// order.
-    pub fn incomplete_for(&self, module: ModuleId) -> Vec<RobId> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| entry_module(e.kind) == Some(module) && !e.module_wrote)
-            .map(|(rob, _)| rob)
-            .collect()
+    /// Forces every live CHECK of `module` that no module result was
+    /// written for to commit as a NOP. When a module heals out of
+    /// quarantine these stale entries would stall commit forever (their
+    /// CHECKs were dropped while decoupled).
+    pub(crate) fn force_nop_unwritten(&mut self, module: ModuleId) {
+        for (_, e) in self.entries.iter_mut() {
+            if e.kind.module() == Some(module) && !e.module_wrote {
+                e.muxed = true;
+            }
+        }
     }
 }
 
@@ -296,28 +354,34 @@ mod tests {
     use super::*;
 
     const M: ModuleId = ModuleId::ICM;
+    const NOP: FetchOutEntry = FetchOutEntry {
+        pc: 0,
+        word: 0,
+        inst: Inst::Nop,
+        wrong_path: false,
+    };
 
     #[test]
     fn table1_plain_instruction_commits_freely() {
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(1), IoqEntryKind::Plain);
+        ioq.allocate(0, RobId(1), IoqEntryKind::Plain, NOP);
         assert_eq!(ioq.gate(RobId(1)), CommitGate::Pass);
     }
 
     #[test]
     fn table1_blocking_chk_stalls_until_complete() {
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(M));
+        ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(M), NOP);
         assert_eq!(ioq.gate(RobId(2)), CommitGate::Stall);
-        ioq.complete(5, RobId(2), false);
+        ioq.complete(RobId(2), false);
         assert_eq!(ioq.gate(RobId(2)), CommitGate::Pass);
     }
 
     #[test]
     fn table1_error_flushes() {
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(M));
-        ioq.complete(4, RobId(3), true);
+        ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(M), NOP);
+        ioq.complete(RobId(3), true);
         assert_eq!(ioq.gate(RobId(3)), CommitGate::Flush);
         assert_eq!(ioq.error_verdicts, 1);
     }
@@ -331,11 +395,11 @@ mod tests {
     #[test]
     fn free_releases_capacity() {
         let mut ioq = Ioq::new(2);
-        ioq.allocate(0, RobId(1), IoqEntryKind::Plain);
-        ioq.allocate(0, RobId(2), IoqEntryKind::Plain);
+        ioq.allocate(0, RobId(1), IoqEntryKind::Plain, NOP);
+        ioq.allocate(0, RobId(2), IoqEntryKind::Plain, NOP);
         assert_eq!(ioq.occupancy(), 2);
         ioq.free(RobId(1));
-        ioq.allocate(1, RobId(3), IoqEntryKind::Plain);
+        ioq.allocate(1, RobId(3), IoqEntryKind::Plain, NOP);
         assert_eq!(ioq.occupancy(), 2);
     }
 
@@ -343,15 +407,15 @@ mod tests {
     #[should_panic(expected = "IOQ overflow")]
     fn overflow_panics() {
         let mut ioq = Ioq::new(1);
-        ioq.allocate(0, RobId(1), IoqEntryKind::Plain);
-        ioq.allocate(0, RobId(2), IoqEntryKind::Plain);
+        ioq.allocate(0, RobId(1), IoqEntryKind::Plain, NOP);
+        ioq.allocate(0, RobId(2), IoqEntryKind::Plain, NOP);
     }
 
     #[test]
     fn stuck_at_faults_bias_gate() {
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(1), IoqEntryKind::BlockingChk(M));
-        ioq.complete(1, RobId(1), false);
+        ioq.allocate(0, RobId(1), IoqEntryKind::BlockingChk(M), NOP);
+        ioq.complete(RobId(1), false);
         ioq.inject_fault(Some(IoqFault::CheckStuck1));
         assert_eq!(ioq.gate(RobId(1)), CommitGate::Flush);
         ioq.inject_fault(Some(IoqFault::ValidStuck0));
@@ -376,21 +440,17 @@ mod tests {
     #[test]
     fn module_fault_is_confined_to_that_module() {
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(1), IoqEntryKind::Plain);
-        ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(ModuleId::ICM));
-        ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(ModuleId::MLR));
-        ioq.complete(1, RobId(2), false);
-        ioq.complete(1, RobId(3), false);
+        ioq.allocate(0, RobId(1), IoqEntryKind::Plain, NOP);
+        ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(ModuleId::ICM), NOP);
+        ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(ModuleId::MLR), NOP);
+        ioq.complete(RobId(2), false);
+        ioq.complete(RobId(3), false);
         ioq.inject_module_fault(Some((ModuleId::ICM, IoqFault::ValidStuck0)));
         // Only the ICM entry observes the stuck bit.
         assert_eq!(ioq.gate(RobId(1)), CommitGate::Pass);
         assert_eq!(ioq.gate(RobId(2)), CommitGate::Stall);
         assert_eq!(ioq.gate(RobId(3)), CommitGate::Pass);
-        let stuck: Vec<_> = ioq
-            .watchdog_view()
-            .filter(|(_, _, _, valid, _)| !*valid)
-            .map(|(rob, ..)| rob)
-            .collect();
+        let stuck: Vec<_> = ioq.timers().map(|(rob, ..)| rob).collect();
         assert_eq!(stuck, vec![RobId(2)]);
         ioq.inject_module_fault(None);
         assert_eq!(ioq.gate(RobId(2)), CommitGate::Pass);
@@ -399,36 +459,42 @@ mod tests {
     #[test]
     fn global_fault_takes_precedence_over_module_fault() {
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(M));
-        ioq.complete(1, RobId(2), false);
+        ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(M), NOP);
+        ioq.complete(RobId(2), false);
         ioq.inject_module_fault(Some((M, IoqFault::ValidStuck0)));
         ioq.inject_fault(Some(IoqFault::CheckStuck1));
         assert_eq!(ioq.gate(RobId(2)), CommitGate::Flush);
     }
 
     #[test]
-    fn entry_state_and_incomplete_for_report_raw_bits() {
+    fn records_keep_raw_bits_and_heal_muxes_only_unwritten_checks() {
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(1), IoqEntryKind::BlockingChk(M));
-        ioq.allocate(0, RobId(2), IoqEntryKind::NonBlockingChk(M));
-        ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(ModuleId::MLR));
-        ioq.allocate(0, RobId(4), IoqEntryKind::Plain);
-        ioq.complete(1, RobId(2), true);
-        assert_eq!(ioq.incomplete_for(M), vec![RobId(1)]);
-        assert_eq!(ioq.incomplete_for(ModuleId::MLR), vec![RobId(3)]);
+        let fetched = FetchOutEntry { pc: 0x40, ..NOP };
+        ioq.allocate(0, RobId(1), IoqEntryKind::BlockingChk(M), fetched);
+        ioq.allocate(0, RobId(2), IoqEntryKind::NonBlockingChk(M), NOP);
+        ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(ModuleId::MLR), NOP);
+        ioq.allocate(0, RobId(4), IoqEntryKind::Plain, NOP);
+        ioq.complete(RobId(2), true);
+        ioq.force_nop_unwritten(M);
+        let muxed: Vec<bool> = (1..=4)
+            .map(|r| ioq.entry(RobId(r)).unwrap().muxed)
+            .collect();
+        assert_eq!(muxed, [true, false, false, false]);
+        let e = ioq.entry(RobId(2)).unwrap();
         assert_eq!(
-            ioq.entry_state(RobId(2)),
-            Some((IoqEntryKind::NonBlockingChk(M), true, true))
+            (e.kind, e.module_wrote, e.check),
+            (IoqEntryKind::NonBlockingChk(M), true, true)
         );
-        assert_eq!(ioq.entry_kind(RobId(4)), Some(IoqEntryKind::Plain));
-        assert_eq!(ioq.entry_kind(RobId(99)), None);
+        assert_eq!(ioq.fetched(RobId(1)).map(|f| f.pc), Some(0x40));
+        assert!(ioq.entry(RobId(99)).is_none());
+        assert!(ioq.fetched(RobId(99)).is_none());
     }
 
     #[test]
     fn check_stuck0_masks_errors() {
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(1), IoqEntryKind::BlockingChk(M));
-        ioq.complete(1, RobId(1), true);
+        ioq.allocate(0, RobId(1), IoqEntryKind::BlockingChk(M), NOP);
+        ioq.complete(RobId(1), true);
         ioq.inject_fault(Some(IoqFault::CheckStuck0));
         // The module said "error" but the stuck bit hides it.
         assert_eq!(ioq.gate(RobId(1)), CommitGate::Pass);

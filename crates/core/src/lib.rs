@@ -8,13 +8,13 @@
 //! The engine ([`Engine`]) implements the pipeline's
 //! [`CoProcessor`](rse_pipeline::CoProcessor) tap interface and contains:
 //!
-//! * the **input interface** ([`queues`]) — the `Fetch_Out` queue, with
-//!   as many entries as the reorder buffer (§3.1); the other four input
+//! * the **Instruction Output Queue** ([`ioq`]) — the engine's one record
+//!   per in-flight instruction, allocated at dispatch and freed at commit
+//!   or squash. It holds the instruction's `Fetch_Out` slot (the input
+//!   queue modules read back by instruction, §3.1; the other four input
 //!   queues' values reach the modules through the dispatch, execute,
-//!   commit and squash callbacks,
-//! * the **Instruction Output Queue** ([`ioq`]) — per-instruction
-//!   `check`/`checkValid` bits with exactly the Table 1 semantics, gating
-//!   instruction commit,
+//!   commit and squash callbacks) and its `check`/`checkValid` bits with
+//!   exactly the Table 1 semantics, gating instruction commit,
 //! * the **Memory Access Unit** ([`mau`]) — a shared port into memory for
 //!   all modules, serviced cyclically, sharing the external bus with the
 //!   pipeline through the arbiter (pipeline priority; §3.2),
@@ -34,8 +34,7 @@
 //! * the **hardware cost model** ([`hardware_cost`]) — the paper's
 //!   footnote-4 flip-flop and gate-count estimates, parameterized.
 //!
-//! Every per-instruction structure above (`Fetch_Out`, IOQ, watchdog
-//! marks) and the modules' pending-operation maps are [`RobTable`]s:
+//! The IOQ and the modules' pending-operation maps are [`RobTable`]s:
 //! small tables kept in ascending [`RobId`](rse_pipeline::RobId) order,
 //! O(1) at the dispatch, commit and squash ends.
 //!
@@ -67,7 +66,6 @@ pub mod health;
 pub mod ioq;
 pub mod mau;
 pub mod module;
-pub mod queues;
 mod rob_table;
 pub mod testutil;
 pub mod watchdog;
@@ -75,7 +73,7 @@ pub mod watchdog;
 pub use config::RseConfig;
 pub use engine::{probe_rob, ChkFault, Engine, RseStats, PROBE_ROB_BASE};
 pub use health::{AnomalyKind, HealthConfig, HealthEvent, HealthState, ModuleHealth};
-pub use ioq::{Ioq, IoqEntryKind, IoqFault};
+pub use ioq::{FetchOutEntry, Ioq, IoqEntryKind, IoqFault};
 pub use mau::{Mau, MauOp, MauRequest};
 pub use module::{ChkDispatch, Module, ModuleCtx, Verdict};
 pub use rob_table::RobTable;

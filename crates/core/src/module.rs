@@ -8,8 +8,8 @@
 //! and delivers [`Module::on_chk`]; the memory buffer is whatever state
 //! the module keeps, filled through the MAU.
 
+use crate::ioq::Ioq;
 use crate::mau::{Mau, MauRequest};
-use crate::queues::FetchOut;
 use rse_isa::{ChkSpec, ModuleId};
 use rse_mem::MemorySystem;
 use rse_pipeline::{CoprocException, DispatchInfo, ExecuteInfo, RobId};
@@ -60,8 +60,9 @@ pub struct ModuleCtx<'a> {
     pub mem: &'a mut MemorySystem,
     /// The Memory Access Unit, shared by all modules.
     pub mau: &'a mut Mau,
-    /// Read access to the engine's `Fetch_Out` queue.
-    pub fetch_out: &'a FetchOut,
+    /// Read access to the engine's IOQ, whose entries hold the
+    /// `Fetch_Out` slots ([`Ioq::fetched`]).
+    pub ioq: &'a Ioq,
     pub(crate) ioq_writes: &'a mut Vec<(u64, RobId, bool)>,
     pub(crate) exceptions: &'a mut VecDeque<CoprocException>,
     pub(crate) broadcast_delay: u64,

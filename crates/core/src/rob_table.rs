@@ -1,5 +1,5 @@
-//! [`RobTable`]: the per-instruction table behind every ROB-indexed
-//! structure of the engine and its modules.
+//! [`RobTable`]: the per-instruction table behind the IOQ and the
+//! modules' pending-operation maps.
 //!
 //! The hardware indexes its input queues and the IOQ by ROB entry
 //! number, so each access is a direct slot read. The simulator numbers
@@ -100,11 +100,6 @@ impl<T> RobTable<T> {
         Some(&mut self.entries[i].1)
     }
 
-    /// Whether `rob` has an entry.
-    pub fn contains(&self, rob: RobId) -> bool {
-        self.position(rob).is_ok()
-    }
-
     /// Removes and returns the entry for `rob`.
     pub fn remove(&mut self, rob: RobId) -> Option<T> {
         let i = self.position(rob).ok()?;
@@ -118,14 +113,9 @@ impl<T> RobTable<T> {
         entry.map(|(_, value)| value)
     }
 
-    /// Keeps only the entries for which `keep` returns `true`, visiting
-    /// them in ascending `RobId` order.
-    pub fn retain(&mut self, mut keep: impl FnMut(RobId, &T) -> bool) {
-        self.entries.retain(|(rob, value)| keep(*rob, value));
-    }
-
-    /// Iterates over `(rob, entry)` pairs in ascending `RobId` order.
-    pub fn iter(&self) -> impl Iterator<Item = (RobId, &T)> + '_ {
-        self.entries.iter().map(|(rob, value)| (*rob, value))
+    /// Iterates over `(rob, entry)` pairs in ascending `RobId` order,
+    /// with the entries mutable.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (RobId, &mut T)> {
+        self.entries.iter_mut().map(|(rob, value)| (*rob, value))
     }
 }

@@ -26,8 +26,7 @@
 //! have been permanently `Disabled`.
 
 use crate::health::{AnomalyKind, HealthConfig, HealthEvent, HealthState, ModuleHealth};
-use crate::ioq::{Ioq, IoqEntryKind};
-use crate::rob_table::RobTable;
+use crate::ioq::Ioq;
 use rse_isa::ModuleId;
 use rse_pipeline::RobId;
 use std::collections::VecDeque;
@@ -133,9 +132,6 @@ pub struct Watchdog {
     /// The most recent timed-out CHECK per module (carried into the
     /// `NoProgress` cause on escalation).
     last_timeout_rob: [Option<RobId>; ModuleId::SLOTS],
-    /// Last cycle at which a still-live entry was charged a timeout, so
-    /// the timer re-arms instead of firing every cycle.
-    timeout_marks: RobTable<u64>,
     hang_fired: bool,
     /// Total global safe-mode entries (0 or 1 per run; kept as a counter
     /// for the fault-injection campaign's bookkeeping).
@@ -159,7 +155,6 @@ impl Watchdog {
             module_flushes: std::array::from_fn(|_| VecDeque::new()),
             module_prematures: [0; ModuleId::SLOTS],
             last_timeout_rob: [None; ModuleId::SLOTS],
-            timeout_marks: RobTable::new(),
             hang_fired: false,
             trips: 0,
             hangs: 0,
@@ -357,9 +352,10 @@ impl Watchdog {
     }
 
     /// One cycle of transition monitoring over the IOQ: charge timeout
-    /// anomalies to the owning modules and decay quiet `Suspect` slots
-    /// back to `Healthy`.
-    pub fn tick(&mut self, now: u64, ioq: &Ioq) {
+    /// anomalies to the owning modules (each charge is recorded in the
+    /// IOQ entry, from which its timer re-arms) and decay quiet `Suspect`
+    /// slots back to `Healthy`.
+    pub fn tick(&mut self, now: u64, ioq: &mut Ioq) {
         if self.safe_mode.is_some() {
             return;
         }
@@ -367,28 +363,21 @@ impl Watchdog {
         // against the health states the cycle started with. The list
         // allocates only when a timeout actually fires.
         let mut fired: Vec<(ModuleId, RobId)> = Vec::new();
-        for (rob, kind, allocated_at, check_valid, _wrote) in ioq.watchdog_view() {
-            let IoqEntryKind::BlockingChk(id) = kind else {
-                continue;
-            };
-            if check_valid || self.module_down(id) {
+        for (rob, id, entry) in ioq.timers() {
+            if self.module_down(id) {
                 continue;
             }
             // Re-arming timer: charge at `allocated_at + timeout + 1`,
             // then again every `timeout` cycles while still stuck.
-            let armed_since = self.timeout_marks.get(rob).copied().unwrap_or(allocated_at);
+            let armed_since = entry.charged_at.unwrap_or(entry.allocated_at);
             if now.saturating_sub(armed_since) > self.config.timeout {
+                entry.charged_at = Some(now);
                 fired.push((id, rob));
             }
         }
         for (id, rob) in fired {
-            self.timeout_marks.insert(rob, now);
             self.last_timeout_rob[id.index()] = Some(rob);
             self.anomaly(id, now, AnomalyKind::Timeout);
-        }
-        if !self.timeout_marks.is_empty() {
-            self.timeout_marks
-                .retain(|rob, _| ioq.entry_kind(rob).is_some());
         }
         // Quiet decay: a Suspect slot with no anomalies for a full decay
         // window returns to Healthy.
@@ -410,9 +399,18 @@ impl Default for Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ioq::{FetchOutEntry, IoqEntryKind};
+    use rse_isa::Inst;
 
     const ICM: ModuleId = ModuleId::ICM;
     const MLR: ModuleId = ModuleId::MLR;
+
+    const NOP: FetchOutEntry = FetchOutEntry {
+        pc: 0,
+        word: 0,
+        inst: Inst::Nop,
+        wrong_path: false,
+    };
 
     fn cfg() -> WatchdogConfig {
         WatchdogConfig {
@@ -442,10 +440,10 @@ mod tests {
         // allocated at cycle 0 with timeout T is charged at T+1, not T.
         let mut wd = wd();
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM));
-        wd.tick(100, &ioq);
+        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM), NOP);
+        wd.tick(100, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Healthy);
-        wd.tick(101, &ioq);
+        wd.tick(101, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Suspect);
         assert_eq!(
             wd.module_health(ICM).last_cause(),
@@ -460,12 +458,12 @@ mod tests {
         // so a single in-flight CHECK still reaches Quarantined.
         let mut wd = wd();
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM));
-        wd.tick(101, &ioq);
+        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM), NOP);
+        wd.tick(101, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Suspect);
-        wd.tick(201, &ioq);
+        wd.tick(201, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Suspect, "timer re-armed");
-        wd.tick(202, &ioq);
+        wd.tick(202, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Quarantined);
         assert!(!wd.is_decoupled());
     }
@@ -474,9 +472,9 @@ mod tests {
     fn completed_checks_do_not_time_out() {
         let mut wd = wd();
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM));
-        ioq.complete(10, RobId(5), false);
-        wd.tick(500, &ioq);
+        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM), NOP);
+        ioq.complete(RobId(5), false);
+        wd.tick(500, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Healthy);
     }
 
@@ -484,8 +482,8 @@ mod tests {
     fn plain_entries_never_time_out() {
         let mut wd = wd();
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(1), IoqEntryKind::Plain);
-        wd.tick(10_000, &ioq);
+        ioq.allocate(0, RobId(1), IoqEntryKind::Plain, NOP);
+        wd.tick(10_000, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Healthy);
         assert!(!wd.is_decoupled());
     }
@@ -575,9 +573,9 @@ mod tests {
     fn probe_lifecycle_heals_a_transient_fault() {
         let mut wd = wd();
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM));
-        wd.tick(101, &ioq);
-        wd.tick(202, &ioq);
+        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM), NOP);
+        wd.tick(101, &mut ioq);
+        wd.tick(202, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Quarantined);
         // First probe due after the base backoff.
         assert!(!wd.probe_due(ICM, 251));
@@ -599,9 +597,9 @@ mod tests {
         // installed modules down: global safe mode is the last resort.
         let mut wd = wd();
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(7), IoqEntryKind::BlockingChk(ICM));
-        wd.tick(101, &ioq);
-        wd.tick(202, &ioq);
+        ioq.allocate(0, RobId(7), IoqEntryKind::BlockingChk(ICM), NOP);
+        wd.tick(101, &mut ioq);
+        wd.tick(202, &mut ioq);
         wd.probe_launched(ICM);
         wd.probe_failed(ICM, 300); // attempt 1 of k=2
         assert_eq!(wd.module_state(ICM), HealthState::Quarantined);
@@ -658,13 +656,13 @@ mod tests {
     fn suspect_decays_quiet_via_tick() {
         let mut wd = wd();
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM));
-        wd.tick(101, &ioq);
+        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM), NOP);
+        wd.tick(101, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Suspect);
-        ioq.complete(102, RobId(5), false);
-        wd.tick(500, &ioq);
+        ioq.complete(RobId(5), false);
+        wd.tick(500, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Suspect);
-        wd.tick(101 + 1_000, &ioq);
+        wd.tick(101 + 1_000, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Healthy);
     }
 
@@ -672,14 +670,14 @@ mod tests {
     fn down_module_is_not_recharged() {
         let mut wd = wd();
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM));
-        wd.tick(101, &ioq);
-        wd.tick(202, &ioq);
+        ioq.allocate(0, RobId(5), IoqEntryKind::BlockingChk(ICM), NOP);
+        wd.tick(101, &mut ioq);
+        wd.tick(202, &mut ioq);
         assert_eq!(wd.module_state(ICM), HealthState::Quarantined);
         let q = wd.module_health(ICM).quarantines;
         // Stuck entry still live; further ticks and flushes must not
         // re-enter quarantine or pile up anomalies.
-        wd.tick(400, &ioq);
+        wd.tick(400, &mut ioq);
         wd.record_flush(401, Some(ICM));
         assert_eq!(wd.module_health(ICM).quarantines, q);
     }
@@ -738,13 +736,13 @@ mod tests {
             wd.note_installed(MLR);
             wd.note_installed(ModuleId::AHBM);
             let mut ioq = Ioq::new(16);
-            ioq.allocate(0, RobId(30), IoqEntryKind::BlockingChk(ModuleId::AHBM));
-            ioq.allocate(0, RobId(20), IoqEntryKind::BlockingChk(MLR));
-            ioq.allocate(0, RobId(10), IoqEntryKind::BlockingChk(ICM));
-            // The watchdog's view of the IOQ is sorted by ROB id.
-            let robs: Vec<u64> = ioq.watchdog_view().map(|(r, ..)| r.0).collect();
+            ioq.allocate(0, RobId(30), IoqEntryKind::BlockingChk(ModuleId::AHBM), NOP);
+            ioq.allocate(0, RobId(20), IoqEntryKind::BlockingChk(MLR), NOP);
+            ioq.allocate(0, RobId(10), IoqEntryKind::BlockingChk(ICM), NOP);
+            // The watchdog's timer scan is sorted by ROB id.
+            let robs: Vec<u64> = ioq.timers().map(|(r, ..)| r.0).collect();
             assert_eq!(robs, vec![10, 20, 30]);
-            wd.tick(101, &ioq);
+            wd.tick(101, &mut ioq);
             (
                 wd.module_state(ICM),
                 wd.module_state(MLR),
@@ -774,11 +772,11 @@ mod tests {
         let mut wd = wd();
         wd.note_installed(MLR);
         let mut ioq = Ioq::new(16);
-        ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(MLR));
-        ioq.allocate(0, RobId(1), IoqEntryKind::BlockingChk(ICM));
-        wd.tick(101, &ioq); // both Suspect
-        wd.tick(201, &ioq); // timers re-arm
-        wd.tick(202, &ioq); // both Quarantined, same cycle
+        ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(MLR), NOP);
+        ioq.allocate(0, RobId(1), IoqEntryKind::BlockingChk(ICM), NOP);
+        wd.tick(101, &mut ioq); // both Suspect
+        wd.tick(201, &mut ioq); // timers re-arm
+        wd.tick(202, &mut ioq); // both Quarantined, same cycle
         assert_eq!(wd.module_state(ICM), HealthState::Quarantined);
         assert_eq!(wd.module_state(MLR), HealthState::Quarantined);
         assert!(crate::health::legal_edge(

@@ -11,10 +11,19 @@
 //! shrunk allocate/complete/inject trace.
 
 use crate::{Invariant, Model};
-use rse_core::{Ioq, IoqEntryKind, IoqFault};
-use rse_isa::ModuleId;
+use rse_core::{FetchOutEntry, Ioq, IoqEntryKind, IoqFault};
+use rse_isa::{Inst, ModuleId};
 use rse_pipeline::{CommitGate, RobId};
 use std::hash::{Hash, Hasher};
+
+/// The `Fetch_Out` slot of every allocated entry: the commit gate never
+/// reads it, so one fixed value serves every state.
+const FETCHED: FetchOutEntry = FetchOutEntry {
+    pc: 0,
+    word: 0,
+    inst: Inst::Nop,
+    wrong_path: false,
+};
 
 /// The shadow specification of one live IOQ entry.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -209,7 +218,7 @@ impl Model for IoqModel {
         if let Some(free) = s.canon.slots.iter().position(Option::is_none) {
             for &kind in &self.kinds {
                 let mut next = s.clone();
-                next.ioq.allocate(0, RobId(free as u64), kind);
+                next.ioq.allocate(0, RobId(free as u64), kind, FETCHED);
                 next.canon.slots[free] = Some(SlotSpec {
                     kind,
                     wrote: false,
@@ -227,7 +236,7 @@ impl Model for IoqModel {
             if spec.kind != IoqEntryKind::Plain {
                 for error in [false, true] {
                     let mut next = s.clone();
-                    next.ioq.complete(0, RobId(slot as u64), error);
+                    next.ioq.complete(RobId(slot as u64), error);
                     next.canon.slots[slot] = Some(SlotSpec {
                         wrote: true,
                         err: error,

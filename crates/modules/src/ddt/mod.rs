@@ -282,7 +282,7 @@ impl Module for Ddt {
         // attributed to a thread at commit time, when the preceding
         // DDT_SET_THREAD (if any) has architecturally taken effect.
         let Some(addr) = info.eff_addr else { return };
-        let Some(entry) = ctx.fetch_out.get(info.rob) else {
+        let Some(entry) = ctx.ioq.fetched(info.rob) else {
             return;
         };
         let is_store = match entry.inst.class() {

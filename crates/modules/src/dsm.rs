@@ -214,7 +214,7 @@ impl Module for Dsm {
         if self.sigs.is_empty() {
             return;
         }
-        let Some(entry) = ctx.fetch_out.get(rob) else {
+        let Some(entry) = ctx.ioq.fetched(rob) else {
             return;
         };
         let (pc, word) = (entry.pc, entry.word);

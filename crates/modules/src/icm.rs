@@ -295,7 +295,7 @@ impl Module for Icm {
                 continue;
             }
             let inst_rob = self.pending[i].inst_rob;
-            let Some(entry) = ctx.fetch_out.get(inst_rob) else {
+            let Some(entry) = ctx.ioq.fetched(inst_rob) else {
                 continue;
             };
             let (pc, word) = (entry.pc, entry.word);

@@ -1,7 +1,7 @@
 //! Pipeline configuration (the Figure 1 parameter table).
 
 use rse_isa::chk::{ops, ChkSpec, ModuleId};
-use rse_isa::{Inst, InstClass};
+use rse_isa::Inst;
 
 /// When the simulator embeds CHECK instructions into the fetched
 /// instruction stream at run time (§5.1 of the paper: "When an
@@ -20,11 +20,6 @@ pub enum CheckPolicy {
     /// Insert an ICM blocking CHECK before every control-flow instruction
     /// (the Table 4 "Framework + ICM" configuration).
     ControlFlow,
-    /// Insert an ICM blocking CHECK before every load and store.
-    Memory,
-    /// Insert an ICM blocking CHECK before every instruction of any of
-    /// the listed classes.
-    Classes([bool; 4]),
 }
 
 impl CheckPolicy {
@@ -33,16 +28,6 @@ impl CheckPolicy {
         match self {
             CheckPolicy::None => false,
             CheckPolicy::ControlFlow => inst.is_control_flow(),
-            CheckPolicy::Memory => inst.class().is_mem(),
-            CheckPolicy::Classes(flags) => {
-                let idx = match inst.class() {
-                    InstClass::IntAlu | InstClass::MulDiv => 0,
-                    InstClass::Load | InstClass::Store => 1,
-                    InstClass::Branch | InstClass::Jump => 2,
-                    _ => 3,
-                };
-                flags[idx]
-            }
         }
     }
 
@@ -112,22 +97,6 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// The baseline (paper Figure 1) configuration.
-    pub fn paper() -> PipelineConfig {
-        PipelineConfig::default()
-    }
-
-    /// The paper configuration with runtime ICM CHECKs on all
-    /// control-flow instructions ("Framework + ICM" row of Table 4).
-    pub fn with_control_flow_checks() -> PipelineConfig {
-        PipelineConfig {
-            check_policy: CheckPolicy::ControlFlow,
-            ..PipelineConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,26 +131,6 @@ mod tests {
             rt: Reg::T0,
             base: Reg::SP,
             off: 0
-        }));
-    }
-
-    #[test]
-    fn memory_policy_selects_loads_stores() {
-        let p = CheckPolicy::Memory;
-        assert!(p.wants_check(&Inst::Lw {
-            rt: Reg::T0,
-            base: Reg::SP,
-            off: 0
-        }));
-        assert!(p.wants_check(&Inst::Sb {
-            rt: Reg::T0,
-            base: Reg::SP,
-            off: 0
-        }));
-        assert!(!p.wants_check(&Inst::Beq {
-            rs: Reg::T0,
-            rt: Reg::T1,
-            off: 1
         }));
     }
 

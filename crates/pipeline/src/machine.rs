@@ -1379,7 +1379,10 @@ mod tests {
         base.load_image(&image);
         base.run(&mut NullCoProcessor, 1_000_000);
         let mut checked = Pipeline::new(
-            PipelineConfig::with_control_flow_checks(),
+            PipelineConfig {
+                check_policy: crate::CheckPolicy::ControlFlow,
+                ..PipelineConfig::default()
+            },
             MemorySystem::new(MemConfig::baseline()),
         );
         checked.load_image(&image);

@@ -6,7 +6,7 @@
 //! Randomization module with `MLR_EXEC_HDR`/`MLR_PI_RAND` CHECKs.
 
 use rse_isa::image::ExecHeader;
-use rse_isa::{layout, Image};
+use rse_isa::Image;
 use rse_mem::MemorySystem;
 use rse_pipeline::Pipeline;
 
@@ -40,16 +40,12 @@ pub fn thread_stack_pointer(stack_base: u32, tid: usize) -> u32 {
     stack_base - (tid as u32) * THREAD_STACK_BYTES - 16
 }
 
-/// The default stack base when the MLR is not active.
-pub fn default_stack_base() -> u32 {
-    layout::STACK_BASE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rse_isa::asm::assemble;
     use rse_isa::image::HEADER_WORDS;
+    use rse_isa::layout;
     use rse_mem::MemConfig;
     use rse_pipeline::PipelineConfig;
 
@@ -76,7 +72,7 @@ mod tests {
 
     #[test]
     fn thread_stacks_do_not_overlap() {
-        let base = default_stack_base();
+        let base = layout::STACK_BASE;
         let s0 = thread_stack_pointer(base, 0);
         let s1 = thread_stack_pointer(base, 1);
         assert!(s0 > s1);

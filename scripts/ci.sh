@@ -25,6 +25,15 @@ cargo build --release --offline
 echo "== cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
+echo "== examples (each asserts its own outcome)"
+# `cargo test` only builds the examples; running them is what checks
+# the outcome each one asserts.
+for example in quickstart attack_demo ddt_server_recovery heartbeat_monitor mlr_randomize; do
+  cargo run --release --offline -q --example "$example" >/dev/null \
+    || { echo "FAIL: example $example exited non-zero"; exit 1; }
+done
+echo "examples: all five ran to their asserted outcome"
+
 echo "== fault-injection smoke campaign (64 runs, fixed seed)"
 # The campaign is a pure function of the seed: two invocations must be
 # byte-identical, and both must match the pinned golden histogram. A

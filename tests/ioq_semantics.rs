@@ -2,14 +2,22 @@
 //! `check` fields of the Instruction Output Queue — verified through the
 //! public engine interface and with property-based sequences.
 
-use rse::core::ioq::{Ioq, IoqEntryKind};
+use rse::core::ioq::{FetchOutEntry, Ioq, IoqEntryKind};
 use rse::core::testutil::{ScriptedBehavior, ScriptedModule};
 use rse::core::{Engine, RseConfig, Verdict};
 use rse::isa::asm::assemble;
-use rse::isa::ModuleId;
+use rse::isa::{Inst, ModuleId};
 use rse::mem::{MemConfig, MemorySystem};
 use rse::pipeline::{CommitGate, Pipeline, PipelineConfig, RobId, StepEvent};
 use rse_support::prelude::*;
+
+/// The `Fetch_Out` slot every entry here carries; the gate never reads it.
+const NOP: FetchOutEntry = FetchOutEntry {
+    pc: 0,
+    word: 0,
+    inst: Inst::Nop,
+    wrong_path: false,
+};
 
 #[test]
 fn table1_row1_free_then_allocated_chk_stalls() {
@@ -17,30 +25,30 @@ fn table1_row1_free_then_allocated_chk_stalls() {
     // Row 1: a free entry imposes nothing.
     assert_eq!(ioq.gate(RobId(0)), CommitGate::Pass);
     // Row 2 (`00`): allocated CHECK, incomplete — the pipeline may stall.
-    ioq.allocate(0, RobId(0), IoqEntryKind::BlockingChk(ModuleId::ICM));
+    ioq.allocate(0, RobId(0), IoqEntryKind::BlockingChk(ModuleId::ICM), NOP);
     assert_eq!(ioq.gate(RobId(0)), CommitGate::Stall);
 }
 
 #[test]
 fn table1_row3_non_check_is_10() {
     let mut ioq = Ioq::new(16);
-    ioq.allocate(0, RobId(1), IoqEntryKind::Plain);
+    ioq.allocate(0, RobId(1), IoqEntryKind::Plain, NOP);
     assert_eq!(ioq.gate(RobId(1)), CommitGate::Pass);
 }
 
 #[test]
 fn table1_row4_completed_check_without_error_commits() {
     let mut ioq = Ioq::new(16);
-    ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(ModuleId::ICM));
-    ioq.complete(3, RobId(2), false);
+    ioq.allocate(0, RobId(2), IoqEntryKind::BlockingChk(ModuleId::ICM), NOP);
+    ioq.complete(RobId(2), false);
     assert_eq!(ioq.gate(RobId(2)), CommitGate::Pass);
 }
 
 #[test]
 fn table1_row5_error_flushes() {
     let mut ioq = Ioq::new(16);
-    ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(ModuleId::ICM));
-    ioq.complete(3, RobId(3), true);
+    ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(ModuleId::ICM), NOP);
+    ioq.complete(RobId(3), true);
     assert_eq!(ioq.gate(RobId(3)), CommitGate::Flush);
 }
 
@@ -143,12 +151,12 @@ proptest! {
                         } else {
                             IoqEntryKind::Plain
                         };
-                        ioq.allocate(0, RobId(rob), kind);
+                        ioq.allocate(0, RobId(rob), kind, NOP);
                         shadow.insert(rob, (flag, !flag, false));
                     }
                 }
                 1 => {
-                    ioq.complete(1, RobId(rob), flag);
+                    ioq.complete(RobId(rob), flag);
                     if let Some(e) = shadow.get_mut(&rob) {
                         e.1 = true;
                         e.2 = flag;
