@@ -132,7 +132,11 @@ pub struct Engine {
     mau: Mau,
     watchdog: Watchdog,
     slots: Vec<Option<Box<dyn Module>>>,
-    enabled: [bool; ModuleId::SLOTS],
+    /// Bit `i` set: slot `i` is enabled. When no bit is set no module
+    /// receives a tap, `tick` does nothing and the commit gate holds at
+    /// constant `10` (a blocking CHECK whose module a later DISABLE
+    /// switched off has nothing left to complete it).
+    enabled: u16,
     pending_chk: VecDeque<PendingChk>,
     /// Scheduled IOQ writes: (visible_at, rob, error).
     pending_ioq: Vec<(u64, RobId, bool)>,
@@ -140,21 +144,36 @@ pub struct Engine {
     chk_fault: Option<ChkFault>,
     /// In-flight quarantine self-test probes, one slot per module.
     probes: [Option<ProbeFlight>; ModuleId::SLOTS],
+    /// Bit `i` set: `probes[i]` is `Some`.
+    probing: u16,
     /// Scheduled module-state corruptions: (module, at_cycle, seed).
     module_corruptions: Vec<(ModuleId, u64, u64)>,
     stats: RseStats,
-    /// Cached: is any module slot enabled? When false no module receives
-    /// a tap, `tick` does nothing and the commit gate holds at constant
-    /// `10` (a blocking CHECK whose module a later DISABLE switched off
-    /// has nothing left to complete it).
-    any_enabled: bool,
+}
+
+// One bit of `enabled` and `probing` per module slot.
+const _: () = assert!(ModuleId::SLOTS == u16::BITS as usize);
+
+/// The slot indices of the set bits of `mask`, in ascending order.
+fn set_bits(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let idx = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            idx
+        })
+    })
+}
+
+fn bit(id: ModuleId) -> u16 {
+    1 << id.index()
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("config", &self.config)
-            .field("enabled", &self.enabled)
+            .field("enabled", &format_args!("{:#06x}", self.enabled))
             .field("stats", &self.stats)
             .field("safe_mode", &self.watchdog.safe_mode())
             .finish_non_exhaustive()
@@ -172,15 +191,15 @@ impl Engine {
             mau: Mau::new(),
             watchdog: Watchdog::new(config.watchdog),
             slots: (0..ModuleId::SLOTS).map(|_| None).collect(),
-            enabled: [false; ModuleId::SLOTS],
+            enabled: 0,
             pending_chk: VecDeque::new(),
             pending_ioq: Vec::new(),
             exceptions: VecDeque::new(),
             chk_fault: None,
             probes: [None; ModuleId::SLOTS],
+            probing: 0,
             module_corruptions: Vec::new(),
             stats: RseStats::default(),
-            any_enabled: false,
         }
     }
 
@@ -202,19 +221,21 @@ impl Engine {
     /// Enables a module slot directly (equivalent to committing an
     /// `ENABLE` CHECK).
     pub fn enable(&mut self, id: ModuleId) {
-        self.enabled[id.index()] = true;
-        self.any_enabled = true;
+        self.enabled |= bit(id);
     }
 
     /// Disables a module slot directly.
     pub fn disable(&mut self, id: ModuleId) {
-        self.enabled[id.index()] = false;
-        self.any_enabled = self.enabled.iter().any(|e| *e);
+        self.enabled &= !bit(id);
     }
 
     /// Whether the slot is enabled.
     pub fn is_enabled(&self, id: ModuleId) -> bool {
-        self.enabled[id.index()]
+        self.enabled & bit(id) != 0
+    }
+
+    fn any_enabled(&self) -> bool {
+        self.enabled != 0
     }
 
     /// Typed access to an installed module (for system software reading
@@ -321,10 +342,7 @@ impl Engine {
         skip_down: bool,
         mut f: impl FnMut(&mut dyn Module, &mut ModuleCtx<'_>),
     ) {
-        for idx in 0..self.slots.len() {
-            if !self.enabled[idx] {
-                continue;
-            }
+        for idx in set_bits(self.enabled) {
             if skip_down
                 && self
                     .watchdog
@@ -333,7 +351,7 @@ impl Engine {
             {
                 continue;
             }
-            let Some(mut module) = self.slots[idx].take() else {
+            let Some(module) = self.slots[idx].as_deref_mut() else {
                 continue;
             };
             let mut ctx = ModuleCtx {
@@ -345,8 +363,7 @@ impl Engine {
                 exceptions: &mut self.exceptions,
                 broadcast_delay: self.config.ioq_broadcast_delay,
             };
-            f(module.as_mut(), &mut ctx);
-            self.slots[idx] = Some(module);
+            f(module, &mut ctx);
         }
     }
 
@@ -359,11 +376,10 @@ impl Engine {
         mem: &mut MemorySystem,
         f: impl FnOnce(&mut dyn Module, &mut ModuleCtx<'_>),
     ) {
-        let idx = id.index();
-        if !self.enabled[idx] {
+        if !self.is_enabled(id) {
             return;
         }
-        let Some(mut module) = self.slots[idx].take() else {
+        let Some(module) = self.slots[id.index()].as_deref_mut() else {
             return;
         };
         let mut ctx = ModuleCtx {
@@ -375,8 +391,7 @@ impl Engine {
             exceptions: &mut self.exceptions,
             broadcast_delay: self.config.ioq_broadcast_delay,
         };
-        f(module.as_mut(), &mut ctx);
-        self.slots[idx] = Some(module);
+        f(module, &mut ctx);
     }
 
     /// Applies enable/disable requests at dispatch (program order); the
@@ -386,14 +401,8 @@ impl Engine {
             return;
         }
         match spec.op {
-            ops::ENABLE => {
-                self.enabled[spec.module.index()] = true;
-                self.any_enabled = true;
-            }
-            ops::DISABLE => {
-                self.enabled[spec.module.index()] = false;
-                self.any_enabled = self.enabled.iter().any(|e| *e);
-            }
+            ops::ENABLE => self.enable(spec.module),
+            ops::DISABLE => self.disable(spec.module),
             _ => {}
         }
     }
@@ -403,7 +412,7 @@ impl Engine {
     fn routed_to_module(&self, spec: &ChkSpec) -> bool {
         spec.op != ops::ENABLE
             && spec.op != ops::DISABLE
-            && self.enabled[spec.module.index()]
+            && self.is_enabled(spec.module)
             && self.slots[spec.module.index()].is_some()
     }
 
@@ -426,7 +435,7 @@ impl Engine {
     /// self-test (the probe cannot see past it).
     fn resolve_probes(&mut self, now: u64) {
         let probe_timeout = self.config.watchdog.health.probe_timeout;
-        for slot in 0..ModuleId::SLOTS {
+        for slot in set_bits(self.probing) {
             let Some(flight) = self.probes[slot] else {
                 continue;
             };
@@ -451,6 +460,7 @@ impl Engine {
             match verdict {
                 Some(true) => {
                     self.probes[slot] = None;
+                    self.probing &= !(1 << slot);
                     self.stats.probes_succeeded += 1;
                     self.watchdog.probe_succeeded(id, now);
                     // Stale CHECKs allocated before/while the module was
@@ -461,6 +471,7 @@ impl Engine {
                 }
                 Some(false) => {
                     self.probes[slot] = None;
+                    self.probing &= !(1 << slot);
                     self.stats.probes_failed += 1;
                     self.watchdog.probe_failed(id, now);
                 }
@@ -473,13 +484,9 @@ impl Engine {
     /// synthetic blocking CHECK with the common `SELFTEST` op, delivered
     /// through the ordinary module interface.
     fn launch_probes(&mut self, now: u64, mem: &mut MemorySystem) {
-        for slot in 0..ModuleId::SLOTS {
+        for slot in set_bits(self.enabled & !self.probing) {
             let id = ModuleId::new(slot as u8);
-            if self.probes[slot].is_some()
-                || !self.enabled[slot]
-                || self.slots[slot].is_none()
-                || !self.watchdog.probe_due(id, now)
-            {
+            if self.slots[slot].is_none() || !self.watchdog.probe_due(id, now) {
                 continue;
             }
             self.watchdog.probe_launched(id);
@@ -487,6 +494,7 @@ impl Engine {
                 issued_at: now,
                 response: None,
             });
+            self.probing |= 1 << slot;
             let chk = ChkDispatch {
                 rob: probe_rob(id),
                 pc: 0,
@@ -583,7 +591,7 @@ impl CoProcessor for Engine {
             // and the module never sees it.
             self.mux(info.rob);
         }
-        if self.any_enabled {
+        if self.any_enabled() {
             // Fan the dispatch out to every enabled module's tap (the mux
             // disconnects quarantined modules from the input queues).
             self.for_each_module(now, mem, true, |m, ctx| m.on_dispatch(info, ctx));
@@ -591,7 +599,7 @@ impl CoProcessor for Engine {
     }
 
     fn on_execute(&mut self, now: u64, info: &ExecuteInfo, mem: &mut MemorySystem) {
-        if !self.any_enabled {
+        if !self.any_enabled() {
             return;
         }
         self.for_each_module(now, mem, true, |m, ctx| m.on_execute(info, ctx));
@@ -614,13 +622,11 @@ impl CoProcessor for Engine {
             if let Inst::Chk(spec) = e.fetched.inst {
                 match spec.op {
                     ops::ENABLE => {
-                        self.enabled[spec.module.index()] = true;
-                        self.any_enabled = true;
+                        self.enable(spec.module);
                         self.stats.enables += 1;
                     }
                     ops::DISABLE => {
-                        self.enabled[spec.module.index()] = false;
-                        self.any_enabled = self.enabled.iter().any(|e| *e);
+                        self.disable(spec.module);
                         self.stats.disables += 1;
                     }
                     _ => {}
@@ -643,7 +649,7 @@ impl CoProcessor for Engine {
         }
         // Modules read the committing instruction's Fetch_Out slot, so
         // the entry is freed after the fan-out.
-        if self.any_enabled {
+        if self.any_enabled() {
             self.for_each_module(now, mem, false, |m, ctx| m.on_commit(rob, ctx));
         }
         self.ioq.free(rob);
@@ -652,14 +658,14 @@ impl CoProcessor for Engine {
     fn on_squash(&mut self, now: u64, rob: RobId, mem: &mut MemorySystem) {
         self.pending_chk.retain(|p| p.chk.rob != rob);
         self.pending_ioq.retain(|(_, r, _)| *r != rob);
-        if self.any_enabled {
+        if self.any_enabled() {
             self.for_each_module(now, mem, false, |m, ctx| m.on_squash(rob, ctx));
         }
         self.ioq.free(rob);
     }
 
     fn commit_gate(&mut self, now: u64, rob: RobId) -> CommitGate {
-        if !self.any_enabled {
+        if !self.any_enabled() {
             return CommitGate::Pass;
         }
         if self.watchdog.is_decoupled() {
@@ -724,7 +730,7 @@ impl CoProcessor for Engine {
     }
 
     fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
-        if !self.any_enabled {
+        if !self.any_enabled() {
             return;
         }
         // Apply scheduled module-state corruptions (fault injection), in

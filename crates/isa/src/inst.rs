@@ -34,11 +34,13 @@ pub enum InstClass {
 
 impl InstClass {
     /// Whether instructions of this class alter control flow.
+    #[inline]
     pub fn is_control_flow(self) -> bool {
         matches!(self, InstClass::Branch | InstClass::Jump)
     }
 
     /// Whether instructions of this class access data memory.
+    #[inline]
     pub fn is_mem(self) -> bool {
         matches!(self, InstClass::Load | InstClass::Store)
     }
@@ -255,6 +257,7 @@ pub enum Inst {
 
 impl Inst {
     /// The functional class of this instruction.
+    #[inline]
     pub fn class(&self) -> InstClass {
         use Inst::*;
         match self {
@@ -293,6 +296,7 @@ impl Inst {
     /// The destination register written by this instruction, if any.
     /// Writes to `r0` are reported as `None` (they are architecturally
     /// discarded).
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         use Inst::*;
         let d = match *self {
@@ -332,6 +336,7 @@ impl Inst {
     }
 
     /// The source registers read by this instruction (up to two).
+    #[inline]
     pub fn sources(&self) -> [Option<Reg>; 2] {
         use Inst::*;
         match *self {
@@ -375,6 +380,7 @@ impl Inst {
     }
 
     /// Whether this instruction alters control flow (branch or jump).
+    #[inline]
     pub fn is_control_flow(&self) -> bool {
         self.class().is_control_flow()
     }

@@ -178,7 +178,9 @@ struct RobEntry {
     injected: bool,
     state: EntryState,
     complete_at: u64,
-    deps: [Option<RobId>; 2],
+    /// The `seq`s of the in-flight producers of the two sources (see
+    /// [`Pipeline::producers`]).
+    deps: [Option<u64>; 2],
     operands: [u32; 2],
     result: u32,
     eff_addr: Option<u32>,
@@ -217,6 +219,20 @@ pub struct Pipeline {
     fetch_queue: VecDeque<FetchedInst>,
     rob: VecDeque<RobEntry>,
     next_id: u64,
+    /// Entries committed so far. Every ROB entry has a `seq`, its
+    /// position in push order counting only entries not squashed, so
+    /// `rob[i]` has `seq == popped + i` and a `seq` below `popped` has
+    /// committed.
+    popped: u64,
+    /// SimpleScalar's create vector: the `seq` of the youngest in-flight
+    /// writer of each register. Set at dispatch, cleared when that
+    /// writer commits, rebuilt from the ROB after a squash.
+    producers: [Option<u64>; 32],
+    /// Memory instructions in the ROB (the LSQ occupancy).
+    lsq_len: usize,
+    /// `issue_stage`'s selection, `(rob index, complete_at)`; kept so the
+    /// steady state allocates nothing.
+    issue_buf: Vec<(usize, u64)>,
     now: u64,
     wrong_path_mode: bool,
     serialize: bool,
@@ -249,6 +265,10 @@ impl Pipeline {
             fetch_queue: VecDeque::new(),
             rob: VecDeque::new(),
             next_id: 0,
+            popped: 0,
+            producers: [None; 32],
+            lsq_len: 0,
+            issue_buf: Vec::new(),
             now: 0,
             wrong_path_mode: false,
             serialize: false,
@@ -442,7 +462,7 @@ impl Pipeline {
 
     /// Runs until a syscall, halt, co-processor exception, or until
     /// `max_cycles` more cycles have elapsed.
-    pub fn run(&mut self, cp: &mut dyn CoProcessor, max_cycles: u64) -> StepEvent {
+    pub fn run<C: CoProcessor + ?Sized>(&mut self, cp: &mut C, max_cycles: u64) -> StepEvent {
         let deadline = self.now + max_cycles;
         while self.now < deadline {
             if let Some(ev) = self.step(cp) {
@@ -454,7 +474,7 @@ impl Pipeline {
 
     /// Advances the machine by one cycle. Returns an event if the
     /// simulation must pause (syscall/halt/exception).
-    pub fn step(&mut self, cp: &mut dyn CoProcessor) -> Option<StepEvent> {
+    pub fn step<C: CoProcessor + ?Sized>(&mut self, cp: &mut C) -> Option<StepEvent> {
         if self.state == State::Halted {
             return Some(StepEvent::Halted);
         }
@@ -489,7 +509,7 @@ impl Pipeline {
 
     // --- commit ---------------------------------------------------------
 
-    fn commit_stage(&mut self, cp: &mut dyn CoProcessor) -> Option<StepEvent> {
+    fn commit_stage<C: CoProcessor + ?Sized>(&mut self, cp: &mut C) -> Option<StepEvent> {
         for _ in 0..self.config.commit_width {
             let head = self.rob.front()?;
             if head.state != EntryState::Done {
@@ -536,13 +556,24 @@ impl Pipeline {
         None
     }
 
-    fn retire(&mut self, cp: &mut dyn CoProcessor, entry: RobEntry) -> Option<StepEvent> {
+    fn retire<C: CoProcessor + ?Sized>(
+        &mut self,
+        cp: &mut C,
+        entry: RobEntry,
+    ) -> Option<StepEvent> {
         self.stats.committed += 1;
         if entry.injected {
             self.stats.committed_injected_chk += 1;
         }
         if let Some(dest) = entry.inst.dest() {
             self.arch_regs[dest.index()] = entry.result;
+            if self.producers[dest.index()] == Some(self.popped) {
+                self.producers[dest.index()] = None;
+            }
+        }
+        self.popped += 1;
+        if entry.inst.class().is_mem() {
+            self.lsq_len -= 1;
         }
         // The Commit_Out indication precedes the store's memory update so
         // a co-processor (the DDT) can capture the pre-store page image.
@@ -597,11 +628,13 @@ impl Pipeline {
 
     /// Squashes every in-flight instruction and resets speculative state
     /// to architectural state.
-    fn flush_all(&mut self, cp: &mut dyn CoProcessor) {
+    fn flush_all<C: CoProcessor + ?Sized>(&mut self, cp: &mut C) {
         while let Some(e) = self.rob.pop_back() {
             self.stats.squashed += 1;
             cp.on_squash(self.now, e.id, &mut self.mem);
         }
+        self.producers = [None; 32];
+        self.lsq_len = 0;
         self.fetch_queue.clear();
         self.pending_ifetch = None;
         self.chk_injected_for = None;
@@ -612,7 +645,7 @@ impl Pipeline {
 
     // --- writeback ------------------------------------------------------
 
-    fn writeback_stage(&mut self, cp: &mut dyn CoProcessor) {
+    fn writeback_stage<C: CoProcessor + ?Sized>(&mut self, cp: &mut C) {
         let mut recover: Option<usize> = None;
         for idx in 0..self.rob.len() {
             let e = &mut self.rob[idx];
@@ -638,7 +671,19 @@ impl Pipeline {
             while self.rob.len() > idx + 1 {
                 let e = self.rob.pop_back().expect("len checked");
                 self.stats.squashed += 1;
+                if e.inst.class().is_mem() {
+                    self.lsq_len -= 1;
+                }
                 cp.on_squash(self.now, e.id, &mut self.mem);
+            }
+            // The squash took the youngest entries, so every survivor's
+            // producers survived too; only the table's view of the
+            // youngest writers must be rebuilt.
+            self.producers = [None; 32];
+            for (i, e) in self.rob.iter().enumerate() {
+                if let Some(dest) = e.inst.dest() {
+                    self.producers[dest.index()] = Some(self.popped + i as u64);
+                }
             }
             self.fetch_queue.clear();
             self.pending_ifetch = None;
@@ -650,12 +695,9 @@ impl Pipeline {
 
     // --- issue ----------------------------------------------------------
 
-    fn deps_ready(&self, deps: &[Option<RobId>; 2]) -> bool {
-        deps.iter().flatten().all(|dep| {
-            self.rob
-                .iter()
-                .find(|e| e.id == *dep)
-                .is_none_or(|e| e.state == EntryState::Done)
+    fn deps_ready(&self, deps: &[Option<u64>; 2]) -> bool {
+        deps.iter().flatten().all(|&seq| {
+            seq < self.popped || self.rob[(seq - self.popped) as usize].state == EntryState::Done
         })
     }
 
@@ -663,7 +705,8 @@ impl Pipeline {
         let mut alu_used = 0usize;
         let mut mem_used = 0usize;
         let mut issued = 0usize;
-        let mut chosen: Vec<(usize, u64)> = Vec::new();
+        let mut chosen = std::mem::take(&mut self.issue_buf);
+        chosen.clear();
         let mut mul_busy = self.mul_busy_until;
         for idx in 0..self.rob.len() {
             if issued >= self.config.issue_width {
@@ -687,29 +730,15 @@ impl Pipeline {
                     mul_busy = self.now + latency;
                     mul_busy
                 }
-                InstClass::Load => {
+                InstClass::Load | InstClass::Store => {
                     if mem_used >= self.config.mem_ports {
                         continue;
                     }
                     mem_used += 1;
-                    if e.wrong_path {
-                        self.now + 1
-                    } else {
-                        let addr = e.eff_addr.expect("load has an address");
-                        // AGEN takes one cycle, then the D-cache access.
-                        let addr_ready = self.now + 1;
-                        // NOTE: the cache access happens in the apply loop
-                        // below to keep borrows disjoint; store addr here.
-                        let _ = addr;
-                        addr_ready // patched below
-                    }
-                }
-                InstClass::Store => {
-                    if mem_used >= self.config.mem_ports {
-                        continue;
-                    }
-                    mem_used += 1;
-                    self.now + 1 // AGEN only; data written at commit
+                    // AGEN takes one cycle. A store's data is written at
+                    // commit; a correct-path load's D-cache access below
+                    // sets its completion.
+                    self.now + 1
                 }
                 _ => {
                     if alu_used >= self.config.int_alus {
@@ -723,7 +752,7 @@ impl Pipeline {
             chosen.push((idx, complete_at));
         }
         self.mul_busy_until = mul_busy;
-        for (idx, mut complete_at) in chosen {
+        for &(idx, mut complete_at) in &chosen {
             // Correct-path loads access the D-cache at issue.
             let (is_load, wrong_path, addr) = {
                 let e = &self.rob[idx];
@@ -737,29 +766,22 @@ impl Pipeline {
             e.state = EntryState::Issued;
             e.complete_at = complete_at.max(self.now + 1);
         }
+        self.issue_buf = chosen;
     }
 
     // --- dispatch -------------------------------------------------------
 
-    fn lsq_count(&self) -> usize {
-        self.rob.iter().filter(|e| e.inst.class().is_mem()).count()
-    }
-
-    fn find_producer(&self, reg: Reg) -> Option<RobId> {
-        self.rob
-            .iter()
-            .rev()
-            .find(|e| e.inst.dest() == Some(reg))
-            .map(|e| e.id)
-    }
-
     /// Reads `width` bytes at `addr` with store-to-load forwarding from
-    /// older in-flight (correct-path) stores.
+    /// older in-flight (correct-path) stores. Addresses wrap at the top
+    /// of the address space, as the memory's own accessors do.
     fn read_forwarded(&self, addr: u32, width: u8) -> u32 {
-        let mut bytes = [0u8; 4];
-        for (i, b) in bytes.iter_mut().enumerate().take(width as usize) {
-            *b = self.mem.memory.read_u8(addr.wrapping_add(i as u32));
+        let memory = &self.mem.memory;
+        let mut bytes = match width {
+            1 => u32::from(memory.read_u8(addr)),
+            2 => u32::from(memory.read_u16(addr)),
+            _ => memory.read_u32(addr),
         }
+        .to_le_bytes();
         for e in &self.rob {
             if e.wrong_path {
                 continue;
@@ -767,9 +789,9 @@ impl Pipeline {
             if let Some(s) = &e.store {
                 let sbytes = s.value.to_le_bytes();
                 for i in 0..width as u32 {
-                    let a = addr.wrapping_add(i);
-                    if a >= s.addr && a < s.addr + s.width as u32 {
-                        bytes[i as usize] = sbytes[(a - s.addr) as usize];
+                    let k = addr.wrapping_add(i).wrapping_sub(s.addr);
+                    if k < s.width as u32 {
+                        bytes[i as usize] = sbytes[k as usize];
                     }
                 }
             }
@@ -777,7 +799,7 @@ impl Pipeline {
         u32::from_le_bytes(bytes)
     }
 
-    fn dispatch_stage(&mut self, cp: &mut dyn CoProcessor) {
+    fn dispatch_stage<C: CoProcessor + ?Sized>(&mut self, cp: &mut C) {
         for _ in 0..self.config.dispatch_width {
             if self.serialize || self.rob.len() >= self.config.rob_size {
                 break;
@@ -785,7 +807,8 @@ impl Pipeline {
             let Some(front) = self.fetch_queue.front() else {
                 break;
             };
-            if front.inst.class().is_mem() && self.lsq_count() >= self.config.lsq_size {
+            let is_mem = front.inst.class().is_mem();
+            if is_mem && self.lsq_len >= self.config.lsq_size {
                 break;
             }
             let f = self.fetch_queue.pop_front().expect("front exists");
@@ -811,12 +834,16 @@ impl Pipeline {
                 actual_next: f.pc.wrapping_add(4),
                 taken: false,
             };
-            // Timing dependencies on in-flight producers.
-            let sources = entry.inst.sources();
-            for (slot, src) in sources.iter().enumerate() {
-                if let Some(reg) = src {
-                    entry.deps[slot] = self.find_producer(*reg);
-                }
+            // Timing dependencies on in-flight producers; then this entry
+            // is the youngest writer of its destination.
+            for (dep, src) in entry.deps.iter_mut().zip(entry.inst.sources()) {
+                *dep = src.and_then(|reg| self.producers[reg.index()]);
+            }
+            if let Some(dest) = entry.inst.dest() {
+                self.producers[dest.index()] = Some(self.popped + self.rob.len() as u64);
+            }
+            if is_mem {
+                self.lsq_len += 1;
             }
             if !wrong_path {
                 self.exec_functional(&mut entry, &f);
@@ -1150,6 +1177,26 @@ mod tests {
             "#,
         );
         assert_eq!(cpu.regs()[10], 0x1111_AB11);
+    }
+
+    #[test]
+    fn forwarding_from_a_store_that_wraps_the_address_space() {
+        // The word store covers 0xFFFFFFFE..=0x00000001; both loads read
+        // it from the LSQ before it commits.
+        let src = r#"
+            main:   li   r8, -2
+                    li   r9, 0x12345678
+                    sw   r9, 0(r8)
+                    lw   r10, 0(r8)
+                    lb   r11, 1(r8)
+                    halt
+        "#;
+        let cpu = run_program(src);
+        let mut golden = crate::Golden::new(&assemble(src).expect("assembles"));
+        assert_eq!(golden.run(1_000), crate::GoldenEvent::Halted);
+        assert_eq!(golden.regs[10], 0x1234_5678);
+        assert_eq!(golden.regs[11], 0x56);
+        assert_eq!(cpu.regs(), &golden.regs);
     }
 
     #[test]

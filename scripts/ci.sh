@@ -243,6 +243,20 @@ if grep '"model":"full-weather"' "$TMP/churn_a" | grep -q '"failovers":0,'; then
 fi
 echo "churn smoke: deterministic 1k-node weather, matches golden, zero split-brain"
 
+echo "== Table 4 reproduction (results/table4.txt)"
+# The paper's Table 4 (framework and framework+ICM overhead on VPR-Place,
+# VPR-Route and kMeans) is a pure function of the simulator: the
+# committed table must come back byte for byte. The step runs 12
+# full-size simulations one after another, about 45-90 s on a 2-core
+# host. After an intentional timing change, regenerate with:
+#   cargo run --release --offline -p rse-bench --bin table4_framework \
+#     > results/table4.txt
+cargo run --release --offline -q -p rse-bench --bin table4_framework \
+  > "$TMP/table4" 2>/dev/null
+diff -u results/table4.txt "$TMP/table4" \
+  || { echo "FAIL: table4_framework diverges from results/table4.txt"; exit 1; }
+echo "table 4: byte-identical to results/table4.txt"
+
 echo "== benchmark pin tests (perfbench: campaign digests, kernel cycles, fleet digests)"
 # The benchmark's own workspace pins what its workloads compute: the
 # campaign record digests, kernel-sim's simulated cycles and the churn

@@ -11,7 +11,8 @@ use rse::pipeline::{
 use rse_support::prelude::*;
 
 /// Operations the program generator can emit. Loads/stores stay within a
-/// 256-byte scratch buffer; loops are bounded by construction.
+/// 256-byte scratch buffer, except [`Op::Wrap`]'s; loops are bounded by
+/// construction.
 #[derive(Debug, Clone)]
 pub enum Op {
     Alu {
@@ -53,6 +54,15 @@ pub enum Op {
         rd: u8,
     },
     Call,
+    /// A load (`store == false`) or store at `off(r27)` with `r27 = -8`:
+    /// the top 8 bytes of the address space, where a word or halfword
+    /// access wraps around to address 0.
+    Wrap {
+        store: bool,
+        width: u8,
+        reg: u8,
+        off: u8,
+    },
 }
 
 /// Registers usable by generated code: t0–t7 and s0–s3 (r8..r15, r16..r19).
@@ -125,6 +135,23 @@ pub fn emit(ops: &[Op]) -> String {
                 ));
                 label += 1;
             }
+            Op::Wrap {
+                store,
+                width,
+                reg: r,
+                off,
+            } => {
+                let m = if *store {
+                    ["sw", "sh", "sb"][(*width % 3) as usize]
+                } else {
+                    ["lw", "lh", "lb", "lbu", "lhu"][(*width % 5) as usize]
+                };
+                src.push_str(&format!(
+                    "        li   r27, -8\n        {m} {}, {}(r27)\n",
+                    reg(*r),
+                    off % 8
+                ));
+            }
             Op::Call => {
                 src.push_str(&format!(
                     "        jal  F{label}\n        b    L{label}\nF{label}: addi r20, r20, 3\n        jr   ra\nL{label}:\n"
@@ -137,32 +164,57 @@ pub fn emit(ops: &[Op]) -> String {
     src
 }
 
-/// The strategy generating a single [`Op`].
+/// The strategy generating a single [`Op`] of the differential harness:
+/// the corpus ops plus [`Op::Wrap`].
 pub fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
+    let mut arms = corpus_arms();
+    arms.push(
+        (any::<bool>(), any::<u8>(), any::<u8>(), any::<u8>())
+            .prop_map(|(store, width, reg, off)| Op::Wrap {
+                store,
+                width,
+                reg,
+                off,
+            })
+            .boxed(),
+    );
+    Union::new(arms)
+}
+
+/// The strategy generating a single [`Op`] of the committed corpus.
+/// [`generate_program`] draws from it alone, so it still reproduces
+/// `tests/corpus/`.
+pub fn corpus_op_strategy() -> impl Strategy<Value = Op> {
+    Union::new(corpus_arms())
+}
+
+fn corpus_arms() -> Vec<BoxedStrategy<Op>> {
+    vec![
         (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>())
-            .prop_map(|(kind, rd, rs, rt)| Op::Alu { kind, rd, rs, rt }),
+            .prop_map(|(kind, rd, rs, rt)| Op::Alu { kind, rd, rs, rt })
+            .boxed(),
         (any::<u8>(), any::<u8>(), any::<u8>(), any::<i16>())
-            .prop_map(|(kind, rd, rs, imm)| Op::AluImm { kind, rd, rs, imm }),
+            .prop_map(|(kind, rd, rs, imm)| Op::AluImm { kind, rd, rs, imm })
+            .boxed(),
         (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>())
-            .prop_map(|(kind, rd, rs, sh)| Op::Shift { kind, rd, rs, sh }),
-        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(width, rd, off)| Op::Load {
-            width,
-            rd,
-            off
-        }),
-        (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(width, rs, off)| Op::Store {
-            width,
-            rs,
-            off
-        }),
+            .prop_map(|(kind, rd, rs, sh)| Op::Shift { kind, rd, rs, sh })
+            .boxed(),
+        (any::<u8>(), any::<u8>(), any::<u8>())
+            .prop_map(|(width, rd, off)| Op::Load { width, rd, off })
+            .boxed(),
+        (any::<u8>(), any::<u8>(), any::<u8>())
+            .prop_map(|(width, rs, off)| Op::Store { width, rs, off })
+            .boxed(),
         (
             any::<u8>(),
-            rse_support::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4)
+            rse_support::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
         )
-            .prop_map(|(count, body)| Op::Loop { count, body }),
-        (any::<u8>(), any::<u8>()).prop_map(|(rs, rd)| Op::SkipIfEven { rs, rd }),
-        Just(Op::Call),
+            .prop_map(|(count, body)| Op::Loop { count, body })
+            .boxed(),
+        (any::<u8>(), any::<u8>())
+            .prop_map(|(rs, rd)| Op::SkipIfEven { rs, rd })
+            .boxed(),
+        Just(Op::Call).boxed(),
     ]
 }
 
@@ -235,7 +287,7 @@ pub fn state_digest(regs: &[u32; 32], scratch: &[u8]) -> u64 {
 /// sequence of 4–40 ops drawn from [`op_strategy`] through the
 /// property-harness generator, rendered to assembler source.
 pub fn generate_program(seed: u64) -> String {
-    let strategy = rse_support::collection::vec(op_strategy(), 4..40);
+    let strategy = rse_support::collection::vec(corpus_op_strategy(), 4..40);
     let ops = strategy.generate(&mut TestRng::fresh(seed));
     emit(&ops)
 }
