@@ -132,6 +132,8 @@ pub struct Engine {
     mau: Mau,
     watchdog: Watchdog,
     slots: Vec<Option<Box<dyn Module>>>,
+    /// Bit `i` set: slot `i` holds a module.
+    installed: u16,
     /// Bit `i` set: slot `i` is enabled. When no bit is set no module
     /// receives a tap, `tick` does nothing and the commit gate holds at
     /// constant `10` (a blocking CHECK whose module a later DISABLE
@@ -191,6 +193,7 @@ impl Engine {
             mau: Mau::new(),
             watchdog: Watchdog::new(config.watchdog),
             slots: (0..ModuleId::SLOTS).map(|_| None).collect(),
+            installed: 0,
             enabled: 0,
             pending_chk: VecDeque::new(),
             pending_ioq: Vec::new(),
@@ -210,6 +213,7 @@ impl Engine {
     pub fn install(&mut self, module: Box<dyn Module>) {
         let idx = module.id().index();
         self.watchdog.note_installed(module.id());
+        self.installed |= bit(module.id());
         self.slots[idx] = Some(module);
     }
 
@@ -329,20 +333,22 @@ impl Engine {
         &self.mau
     }
 
-    /// Runs `f` for each installed+enabled module with a [`ModuleCtx`].
-    /// With `skip_down`, modules decoupled by the per-module multiplexer
-    /// (quarantined/disabled) are left out — used for the dispatch and
-    /// execute input taps, which the mux disconnects; commit/squash
-    /// bookkeeping and clock ticks still reach a quarantined module so
-    /// it can drop stale state and answer self-test probes.
+    /// Runs `f` for each installed module of the slots in `mask` with a
+    /// [`ModuleCtx`]. With `skip_down`, modules decoupled by the
+    /// per-module multiplexer (quarantined/disabled) are left out — used
+    /// for the dispatch and execute input taps, which the mux
+    /// disconnects; commit/squash bookkeeping and clock ticks still reach
+    /// a quarantined module so it can drop stale state and answer
+    /// self-test probes.
     fn for_each_module(
         &mut self,
+        mask: u16,
         now: u64,
         mem: &mut MemorySystem,
         skip_down: bool,
         mut f: impl FnMut(&mut dyn Module, &mut ModuleCtx<'_>),
     ) {
-        for idx in set_bits(self.enabled) {
+        for idx in set_bits(mask) {
             if skip_down
                 && self
                     .watchdog
@@ -594,7 +600,9 @@ impl CoProcessor for Engine {
         if self.any_enabled() {
             // Fan the dispatch out to every enabled module's tap (the mux
             // disconnects quarantined modules from the input queues).
-            self.for_each_module(now, mem, true, |m, ctx| m.on_dispatch(info, ctx));
+            self.for_each_module(self.enabled, now, mem, true, |m, ctx| {
+                m.on_dispatch(info, ctx)
+            });
         }
     }
 
@@ -602,7 +610,9 @@ impl CoProcessor for Engine {
         if !self.any_enabled() {
             return;
         }
-        self.for_each_module(now, mem, true, |m, ctx| m.on_execute(info, ctx));
+        self.for_each_module(self.enabled, now, mem, true, |m, ctx| {
+            m.on_execute(info, ctx)
+        });
     }
 
     fn on_commit(&mut self, now: u64, rob: RobId, mem: &mut MemorySystem) {
@@ -650,7 +660,9 @@ impl CoProcessor for Engine {
         // Modules read the committing instruction's Fetch_Out slot, so
         // the entry is freed after the fan-out.
         if self.any_enabled() {
-            self.for_each_module(now, mem, false, |m, ctx| m.on_commit(rob, ctx));
+            self.for_each_module(self.enabled, now, mem, false, |m, ctx| {
+                m.on_commit(rob, ctx)
+            });
         }
         self.ioq.free(rob);
     }
@@ -658,8 +670,13 @@ impl CoProcessor for Engine {
     fn on_squash(&mut self, now: u64, rob: RobId, mem: &mut MemorySystem) {
         self.pending_chk.retain(|p| p.chk.rob != rob);
         self.pending_ioq.retain(|(_, r, _)| *r != rob);
-        if self.any_enabled() {
-            self.for_each_module(now, mem, false, |m, ctx| m.on_squash(rob, ctx));
+        // The id goes to the next instruction dispatched in this one's
+        // place, so every installed module drops its state for it, also
+        // one a DISABLE switched off while the instruction was in flight.
+        if self.installed != 0 {
+            self.for_each_module(self.installed, now, mem, false, |m, ctx| {
+                m.on_squash(rob, ctx)
+            });
         }
         self.ioq.free(rob);
     }
@@ -765,7 +782,7 @@ impl CoProcessor for Engine {
         self.mau.tick(now, mem);
         // Modules advance their internal pipelines (including
         // quarantined ones, so self-test probes get answered).
-        self.for_each_module(now, mem, false, |m, ctx| m.tick(ctx));
+        self.for_each_module(self.enabled, now, mem, false, |m, ctx| m.tick(ctx));
         // Apply module results whose broadcast delay has elapsed, in the
         // order they were written. Writes to the probe sentinel ROB range
         // are self-test responses and are routed to the probe bookkeeping
@@ -1177,5 +1194,40 @@ mod tests {
             engine.on_squash(2, RobId(i), &mut mem);
         }
         assert_eq!(engine.ioq().occupancy(), 0);
+    }
+
+    #[test]
+    fn squash_reaches_a_module_disabled_while_the_instruction_was_in_flight() {
+        // A CHECK the module took is squashed after a host-side disable.
+        // Its id goes to the next instruction dispatched, so the module
+        // must drop its state for the CHECK although it is disabled:
+        // re-enabled, it must not take the plain instruction now holding
+        // the id for its CHECK committing.
+        let mut engine = Engine::new(RseConfig::default());
+        engine.install(Box::new(CountingModule::new(SLOT9)));
+        engine.enable(SLOT9);
+        let mut mem = MemorySystem::new(MemConfig::with_framework());
+        let dispatch = |engine: &mut Engine, mem: &mut MemorySystem, now, inst| {
+            let info = DispatchInfo {
+                rob: RobId(0),
+                pc: 0,
+                word: 0,
+                inst,
+                operands: [0, 0],
+                wrong_path: false,
+                injected: false,
+            };
+            engine.on_dispatch(now, &info, mem);
+        };
+        let chk = Inst::Chk(ChkSpec::new(SLOT9, false, 2, 0));
+        dispatch(&mut engine, &mut mem, 0, chk);
+        engine.tick(1, &mut mem);
+        engine.disable(SLOT9);
+        engine.on_squash(1, RobId(0), &mut mem);
+        engine.enable(SLOT9);
+        dispatch(&mut engine, &mut mem, 2, Inst::Nop);
+        engine.on_commit(2, RobId(0), &mut mem);
+        let m: &CountingModule = engine.module_ref(SLOT9).unwrap();
+        assert_eq!((m.chks_seen, m.squashes, m.chk_commits), (1, 1, 0));
     }
 }

@@ -25,16 +25,19 @@
 //! [`hardware_cost`](crate::hardware_cost) model still prices all five
 //! queues.
 //!
-//! Entries are indexed by the instruction's unique identifier (the paper
-//! uses the ROB entry number; we use the dispatch sequence [`RobId`],
-//! stored in a [`RobTable`]). Besides the bits, an entry records the
-//! bookkeeping of the §3.4 self-checking watchdog and the per-module
-//! output multiplexer: allocation time, the watchdog's last timeout
-//! charge, whether a module (as opposed to a stuck-at fault) produced
-//! the bits, and whether the multiplexer forced a CHECK to commit as a
-//! NOP.
+//! The IOQ is an array with one slot per ROB entry, addressed as the
+//! paper addresses it: by ROB entry number. Live [`RobId`]s are
+//! consecutive and never more than the ROB holds, so instruction `rob`
+//! sits in slot `rob % capacity` and no other live instruction maps
+//! there. Each entry keeps its own `rob`, so a lookup by an id that is
+//! not live (not yet dispatched, or already committed or squashed and
+//! its slot taken by a later instruction) finds nothing. Besides the
+//! bits, an entry records the bookkeeping of the §3.4 self-checking
+//! watchdog and the per-module output multiplexer: allocation time, the
+//! watchdog's last timeout charge, whether a module (as opposed to a
+//! stuck-at fault) produced the bits, and whether the multiplexer forced
+//! a CHECK to commit as a NOP.
 
-use crate::rob_table::RobTable;
 use rse_isa::{Inst, ModuleId};
 use rse_pipeline::{CommitGate, RobId};
 
@@ -118,6 +121,8 @@ impl std::fmt::Display for IoqFault {
 /// The engine's record of one in-flight instruction.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IoqEntry {
+    /// The instruction this entry belongs to.
+    rob: RobId,
     /// The instruction's `Fetch_Out` slot.
     pub(crate) fetched: FetchOutEntry,
     pub(crate) kind: IoqEntryKind,
@@ -153,10 +158,12 @@ impl IoqEntry {
 }
 
 /// The Instruction Output Queue.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Ioq {
-    entries: RobTable<IoqEntry>,
-    capacity: usize,
+    /// One slot per ROB entry; instruction `rob` lives in slot
+    /// `rob % slots.len()`.
+    slots: Box<[Option<IoqEntry>]>,
+    occupancy: usize,
     fault: Option<IoqFault>,
     /// A stuck-at fault confined to the output bits of one module's
     /// CHECK entries (the module-targeted campaign fault models); other
@@ -180,18 +187,25 @@ fn observed_fault(
 }
 
 impl Ioq {
-    /// Creates an IOQ with `capacity` entries (the ROB size).
+    /// Creates an IOQ with `capacity` entries (at least the ROB size).
     pub fn new(capacity: usize) -> Ioq {
         Ioq {
-            entries: RobTable::with_capacity(capacity),
-            capacity,
-            ..Ioq::default()
+            slots: vec![None; capacity].into_boxed_slice(),
+            occupancy: 0,
+            fault: None,
+            module_fault: None,
+            allocated_total: 0,
+            error_verdicts: 0,
         }
     }
 
     /// Number of live entries.
     pub fn occupancy(&self) -> usize {
-        self.entries.len()
+        self.occupancy
+    }
+
+    fn slot(&self, rob: RobId) -> usize {
+        (rob.0 % self.slots.len() as u64) as usize
     }
 
     /// Injects (or clears) a stuck-at fault on the output bits.
@@ -231,12 +245,13 @@ impl Ioq {
     ///
     /// # Panics
     ///
-    /// Panics if the IOQ would exceed its capacity — the pipeline cannot
-    /// have more in-flight instructions than ROB entries, so this
-    /// indicates a bookkeeping bug.
+    /// Panics if `rob`'s slot is taken — the pipeline cannot have more
+    /// in-flight instructions than ROB entries, so this indicates a
+    /// bookkeeping bug.
     pub fn allocate(&mut self, now: u64, rob: RobId, kind: IoqEntryKind, fetched: FetchOutEntry) {
+        let slot = self.slot(rob);
         assert!(
-            self.entries.len() < self.capacity,
+            self.slots[slot].is_none(),
             "IOQ overflow: more entries than the ROB"
         );
         let (check_valid, check) = match kind {
@@ -246,26 +261,26 @@ impl Ioq {
             IoqEntryKind::BlockingChk(_) | IoqEntryKind::NonBlockingChk(_) => (false, false),
         };
         self.allocated_total += 1;
-        self.entries.insert(
+        self.occupancy += 1;
+        self.slots[slot] = Some(IoqEntry {
             rob,
-            IoqEntry {
-                fetched,
-                kind,
-                check_valid,
-                check,
-                allocated_at: now,
-                module_wrote: false,
-                muxed: false,
-                charged_at: None,
-            },
-        );
+            fetched,
+            kind,
+            check_valid,
+            check,
+            allocated_at: now,
+            module_wrote: false,
+            muxed: false,
+            charged_at: None,
+        });
     }
 
     /// A module (or the enable/disable unit, or the asynchronous-mode
     /// fast path) writes the result bits for `rob`: `error` selects the
     /// `check` bit, and `checkValid` is set.
     pub fn complete(&mut self, rob: RobId, error: bool) {
-        if let Some(e) = self.entries.get_mut(rob) {
+        let slot = self.slot(rob);
+        if let Some(e) = self.slots[slot].as_mut().filter(|e| e.rob == rob) {
             e.check_valid = true;
             if error && !e.check {
                 self.error_verdicts += 1;
@@ -277,29 +292,34 @@ impl Ioq {
 
     /// Frees the entry for a committed or squashed instruction.
     pub fn free(&mut self, rob: RobId) {
-        self.entries.remove(rob);
+        let slot = self.slot(rob);
+        if self.slots[slot].as_ref().is_some_and(|e| e.rob == rob) {
+            self.slots[slot] = None;
+            self.occupancy -= 1;
+        }
     }
 
     /// The `Fetch_Out` slot of a live instruction.
     pub fn fetched(&self, rob: RobId) -> Option<&FetchOutEntry> {
-        self.entries.get(rob).map(|e| &e.fetched)
+        self.entry(rob).map(|e| &e.fetched)
     }
 
     /// The record of a live instruction, with the *unfaulted* bits.
     pub(crate) fn entry(&self, rob: RobId) -> Option<&IoqEntry> {
-        self.entries.get(rob)
+        self.slots[self.slot(rob)].as_ref().filter(|e| e.rob == rob)
     }
 
     /// The record of a live instruction, mutably.
     pub(crate) fn entry_mut(&mut self, rob: RobId) -> Option<&mut IoqEntry> {
-        self.entries.get_mut(rob)
+        let slot = self.slot(rob);
+        self.slots[slot].as_mut().filter(|e| e.rob == rob)
     }
 
     /// Reads the commit gate for `rob`, applying any injected stuck-at
     /// fault to the observed bits (the fault sits on the output wires to
     /// the commit unit, exactly as in Table 2).
     pub fn gate(&self, rob: RobId) -> CommitGate {
-        let Some(e) = self.entries.get(rob) else {
+        let Some(e) = self.entry(rob) else {
             // Untracked instruction (allocated before the engine attached):
             // behaves like `10`.
             return CommitGate::Pass;
@@ -313,26 +333,23 @@ impl Ioq {
     }
 
     /// The watchdog's timer scan: each live blocking CHECK whose
-    /// `checkValid` reads 0, with its owning module, in ascending ROB
-    /// order.
+    /// `checkValid` reads 0, with its owning module, in slot order.
     ///
     /// The watchdog monitors the same output wires the commit unit reads,
     /// so an injected stuck-at fault is visible here too — that is
     /// exactly how §3.4 detects a stuck-at-0 `checkValid` (it looks like
     /// a module that never makes progress).
     ///
-    /// Entries come out in the order the table keeps them in: when
-    /// several modules time out in the same cycle, the anomaly charge
-    /// sequence (and hence the health state machine's event order) is
-    /// fixed by program order.
+    /// Slot order is program order only until the ids wrap the array;
+    /// the watchdog orders same-cycle charges by `RobId` itself.
     pub(crate) fn timers(&mut self) -> impl Iterator<Item = (RobId, ModuleId, &mut IoqEntry)> {
         let (fault, module_fault) = (self.fault, self.module_fault);
-        self.entries.iter_mut().filter_map(move |(rob, e)| {
+        self.slots.iter_mut().flatten().filter_map(move |e| {
             let IoqEntryKind::BlockingChk(m) = e.kind else {
                 return None;
             };
             let (valid, _) = e.observed_bits(observed_fault(fault, module_fault, e.kind));
-            (!valid).then_some((rob, m, e))
+            (!valid).then_some((e.rob, m, e))
         })
     }
 
@@ -341,7 +358,7 @@ impl Ioq {
     /// quarantine these stale entries would stall commit forever (their
     /// CHECKs were dropped while decoupled).
     pub(crate) fn force_nop_unwritten(&mut self, module: ModuleId) {
-        for (_, e) in self.entries.iter_mut() {
+        for e in self.slots.iter_mut().flatten() {
             if e.kind.module() == Some(module) && !e.module_wrote {
                 e.muxed = true;
             }
@@ -401,6 +418,29 @@ mod tests {
         ioq.free(RobId(1));
         ioq.allocate(1, RobId(3), IoqEntryKind::Plain, NOP);
         assert_eq!(ioq.occupancy(), 2);
+    }
+
+    #[test]
+    fn ids_sharing_a_slot_are_told_apart() {
+        // Ids 4 apart share a slot of a 4-slot IOQ. Only the live one is
+        // found; the other reads as untracked and writes to it are lost.
+        let mut ioq = Ioq::new(4);
+        ioq.allocate(0, RobId(3), IoqEntryKind::Plain, NOP);
+        ioq.free(RobId(3));
+        ioq.allocate(1, RobId(7), IoqEntryKind::BlockingChk(M), NOP);
+        assert!(ioq.entry(RobId(3)).is_none());
+        assert!(ioq.fetched(RobId(11)).is_none(), "not dispatched yet");
+        ioq.complete(RobId(3), true);
+        ioq.free(RobId(3));
+        assert_eq!(ioq.occupancy(), 1);
+        assert_eq!(ioq.gate(RobId(3)), CommitGate::Pass);
+        assert_eq!(ioq.gate(RobId(7)), CommitGate::Stall);
+        // A full window of consecutive ids wraps the array.
+        for rob in 4..7 {
+            ioq.allocate(2, RobId(rob), IoqEntryKind::Plain, NOP);
+        }
+        assert_eq!(ioq.occupancy(), 4);
+        assert!((4..8).all(|rob| ioq.entry(RobId(rob)).is_some()));
     }
 
     #[test]

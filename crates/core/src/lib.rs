@@ -34,9 +34,11 @@
 //! * the **hardware cost model** ([`hardware_cost`]) — the paper's
 //!   footnote-4 flip-flop and gate-count estimates, parameterized.
 //!
-//! The IOQ and the modules' pending-operation maps are [`RobTable`]s:
-//! small tables kept in ascending [`RobId`](rse_pipeline::RobId) order,
-//! O(1) at the dispatch, commit and squash ends.
+//! The IOQ is an array of ROB slots: an instruction's
+//! [`RobId`](rse_pipeline::RobId) is its position in commit order, live
+//! ids are consecutive, so `rob % queue_entries` is a slot no other live
+//! instruction holds, and every IOQ access on the path each instruction
+//! takes is a direct slot read.
 //!
 //! Modules operate in one of two modes (§3, Figure 2): **synchronous**
 //! (blocking CHECK — the pipeline may not commit the instruction until
@@ -66,7 +68,6 @@ pub mod health;
 pub mod ioq;
 pub mod mau;
 pub mod module;
-mod rob_table;
 pub mod testutil;
 pub mod watchdog;
 
@@ -76,5 +77,4 @@ pub use health::{AnomalyKind, HealthConfig, HealthEvent, HealthState, ModuleHeal
 pub use ioq::{FetchOutEntry, Ioq, IoqEntryKind, IoqFault};
 pub use mau::{Mau, MauOp, MauRequest};
 pub use module::{ChkDispatch, Module, ModuleCtx, Verdict};
-pub use rob_table::RobTable;
 pub use watchdog::{SafeModeCause, Watchdog, WatchdogConfig};

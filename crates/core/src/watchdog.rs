@@ -360,9 +360,12 @@ impl Watchdog {
             return;
         }
         // Charges are applied after the scan, so every entry is judged
-        // against the health states the cycle started with. The list
-        // allocates only when a timeout actually fires.
-        let mut fired: Vec<(ModuleId, RobId)> = Vec::new();
+        // against the health states the cycle started with, and in
+        // program order (ascending `RobId`, which the scan's slot order
+        // is not once ids wrap the IOQ), which fixes each module's
+        // `last_timeout_rob`. The list allocates only when a timeout
+        // actually fires.
+        let mut fired: Vec<(RobId, ModuleId)> = Vec::new();
         for (rob, id, entry) in ioq.timers() {
             if self.module_down(id) {
                 continue;
@@ -372,10 +375,11 @@ impl Watchdog {
             let armed_since = entry.charged_at.unwrap_or(entry.allocated_at);
             if now.saturating_sub(armed_since) > self.config.timeout {
                 entry.charged_at = Some(now);
-                fired.push((id, rob));
+                fired.push((rob, id));
             }
         }
-        for (id, rob) in fired {
+        fired.sort_unstable();
+        for (rob, id) in fired {
             self.last_timeout_rob[id.index()] = Some(rob);
             self.anomaly(id, now, AnomalyKind::Timeout);
         }
@@ -727,21 +731,19 @@ mod tests {
 
     #[test]
     fn same_cycle_multi_module_timeouts_charge_in_rob_order() {
-        // Satellite regression: when several modules' blocking CHECKs
-        // time out in the same cycle, the charge order is ascending ROB
-        // order, whatever order the entries were allocated in. Allocate
-        // in descending ROB order to stress it.
+        // When several modules' blocking CHECKs time out in the same
+        // cycle, each module is charged for its own CHECK, whatever order
+        // the entries were allocated in and although the ids straddle the
+        // wrap of the 16-slot IOQ (15 in the last slot, 16 and 17 in the
+        // first two). Allocate youngest first to stress it.
         let run = || {
             let mut wd = wd();
             wd.note_installed(MLR);
             wd.note_installed(ModuleId::AHBM);
             let mut ioq = Ioq::new(16);
-            ioq.allocate(0, RobId(30), IoqEntryKind::BlockingChk(ModuleId::AHBM), NOP);
-            ioq.allocate(0, RobId(20), IoqEntryKind::BlockingChk(MLR), NOP);
-            ioq.allocate(0, RobId(10), IoqEntryKind::BlockingChk(ICM), NOP);
-            // The watchdog's timer scan is sorted by ROB id.
-            let robs: Vec<u64> = ioq.timers().map(|(r, ..)| r.0).collect();
-            assert_eq!(robs, vec![10, 20, 30]);
+            ioq.allocate(0, RobId(17), IoqEntryKind::BlockingChk(ModuleId::AHBM), NOP);
+            ioq.allocate(0, RobId(16), IoqEntryKind::BlockingChk(MLR), NOP);
+            ioq.allocate(0, RobId(15), IoqEntryKind::BlockingChk(ICM), NOP);
             wd.tick(101, &mut ioq);
             (
                 wd.module_state(ICM),
@@ -757,11 +759,29 @@ mod tests {
         assert_eq!(mlr, HealthState::Suspect);
         assert_eq!(ahbm, HealthState::Suspect);
         assert!(crate::health::legal_edge(HealthState::Healthy, icm));
-        assert_eq!(last[ICM.index()], Some(RobId(10)));
-        assert_eq!(last[MLR.index()], Some(RobId(20)));
-        assert_eq!(last[ModuleId::AHBM.index()], Some(RobId(30)));
+        assert_eq!(last[ICM.index()], Some(RobId(15)));
+        assert_eq!(last[MLR.index()], Some(RobId(16)));
+        assert_eq!(last[ModuleId::AHBM.index()], Some(RobId(17)));
         // And the whole thing replays identically.
         assert_eq!((icm, mlr, ahbm, last), run());
+    }
+
+    #[test]
+    fn same_module_timeouts_across_the_wrap_charge_in_rob_order() {
+        // One module's CHECKs at ids 15 and 16 sit in the last and the
+        // first slot of the 16-slot IOQ, so the timer scan meets 16
+        // first. Charged in program order, the module's last timeout is
+        // the younger CHECK, 16.
+        let mut wd = wd();
+        let mut ioq = Ioq::new(16);
+        ioq.allocate(0, RobId(15), IoqEntryKind::BlockingChk(ICM), NOP);
+        ioq.allocate(0, RobId(16), IoqEntryKind::BlockingChk(ICM), NOP);
+        let scan: Vec<RobId> = ioq.timers().map(|(rob, ..)| rob).collect();
+        assert_eq!(scan, [RobId(16), RobId(15)], "slot order");
+        wd.tick(101, &mut ioq);
+        assert_eq!(wd.last_timeout_rob[ICM.index()], Some(RobId(16)));
+        // Two charges in one tick: Healthy -> Suspect -> Quarantined.
+        assert_eq!(wd.module_state(ICM), HealthState::Quarantined);
     }
 
     #[test]

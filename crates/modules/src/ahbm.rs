@@ -39,7 +39,8 @@
 //! retry and exponential backoff mirroring the per-module health machine
 //! in `rse_core::health`.
 
-use rse_core::{ChkDispatch, Module, ModuleCtx, RobTable, Verdict};
+use crate::take_pending;
+use rse_core::{ChkDispatch, Module, ModuleCtx, Verdict};
 use rse_isa::chk::ops;
 use rse_isa::ModuleId;
 use rse_pipeline::RobId;
@@ -229,7 +230,8 @@ enum PendingOp {
 pub struct Ahbm {
     config: AhbmConfig,
     entities: BTreeMap<EntityId, EntityState>,
-    pending: RobTable<PendingOp>,
+    /// Operations of CHECKs not yet committed.
+    pending: Vec<(RobId, PendingOp)>,
     failed: Vec<EntityId>,
     next_sample: u64,
     stats: AhbmStats,
@@ -245,7 +247,7 @@ impl Ahbm {
         Ahbm {
             config,
             entities: BTreeMap::new(),
-            pending: RobTable::new(),
+            pending: Vec::new(),
             failed: Vec::new(),
             next_sample: 0,
             stats: AhbmStats::default(),
@@ -372,11 +374,11 @@ impl Module for Ahbm {
             _ => return,
         };
         // Asynchronous module: the effect is logged at commit.
-        self.pending.insert(chk.rob, op);
+        self.pending.push((chk.rob, op));
     }
 
     fn on_commit(&mut self, rob: RobId, ctx: &mut ModuleCtx<'_>) {
-        let Some(op) = self.pending.remove(rob) else {
+        let Some(op) = take_pending(&mut self.pending, rob) else {
             return;
         };
         match op {
@@ -387,7 +389,7 @@ impl Module for Ahbm {
     }
 
     fn on_squash(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
-        self.pending.remove(rob);
+        take_pending(&mut self.pending, rob);
     }
 
     fn tick(&mut self, ctx: &mut ModuleCtx<'_>) {

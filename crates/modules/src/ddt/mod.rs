@@ -24,7 +24,8 @@ mod pst;
 pub use ddm::DependencyMatrix;
 pub use pst::{transition, PageOwners, PageStatusTable, ThreadId, TransitionActions};
 
-use rse_core::{ChkDispatch, MauOp, MauRequest, Module, ModuleCtx, RobTable, Verdict};
+use crate::take_pending;
+use rse_core::{ChkDispatch, MauOp, MauRequest, Module, ModuleCtx, Verdict};
 use rse_isa::chk::ops;
 use rse_isa::layout::{page_base, page_id, PAGE_SIZE};
 use rse_isa::{InstClass, ModuleId};
@@ -113,13 +114,20 @@ pub struct Ddt {
     /// most safety-critical state, since a wrong thread id silently
     /// mis-attributes every subsequent dependency.
     thread_shadow: Option<ThreadId>,
-    pending_mem: RobTable<PendingAccess>,
-    pending_chk: RobTable<PendingChkAction>,
+    /// Accesses executed but not yet committed (at most the LSQ's).
+    pending_mem: Vec<(RobId, PendingAccess)>,
+    /// `DDT_SET_THREAD` CHECKs not yet committed.
+    pending_chk: Vec<(RobId, PendingChkAction)>,
     saved_pages: Vec<SavedPage>,
     stats: DdtStats,
     last_log_cycle: Option<u64>,
-    /// In-flight retrieval stores (rob of the blocking CHECK).
-    retrieval_in_flight: Option<RobId>,
+    /// The in-flight retrieval store: the blocking CHECK it answers and
+    /// its MAU tag. The CHECK's id can pass to another CHECK if it is
+    /// squashed while the store is still in flight, so the completion is
+    /// matched by the tag.
+    retrieval_in_flight: Option<(RobId, u64)>,
+    /// MAU requests issued; the next request's tag.
+    mau_requests: u64,
 }
 
 impl Ddt {
@@ -131,13 +139,28 @@ impl Ddt {
             ddm: DependencyMatrix::new(config.max_threads),
             current_thread: None,
             thread_shadow: None,
-            pending_mem: RobTable::new(),
-            pending_chk: RobTable::new(),
+            pending_mem: Vec::new(),
+            pending_chk: Vec::new(),
             saved_pages: Vec::new(),
             stats: DdtStats::default(),
             last_log_cycle: None,
             retrieval_in_flight: None,
+            mau_requests: 0,
         }
+    }
+
+    /// Stores `data` to the buffer at the CHECK's `a0` through the MAU;
+    /// the CHECK completes when the store lands.
+    fn retrieve(&mut self, chk: &ChkDispatch, data: Vec<u8>, ctx: &mut ModuleCtx<'_>) {
+        let tag = self.mau_requests;
+        self.mau_requests += 1;
+        ctx.mau_submit(MauRequest {
+            module: ModuleId::DDT,
+            addr: chk.operands[0],
+            op: MauOp::Store { data },
+            tag,
+        });
+        self.retrieval_in_flight = Some((chk.rob, tag));
     }
 
     /// Module counters.
@@ -236,10 +259,10 @@ impl Module for Ddt {
             }
             ops::DDT_SET_THREAD => {
                 // Becomes effective at commit (asynchronous logging).
-                self.pending_chk.insert(
+                self.pending_chk.push((
                     chk.rob,
                     PendingChkAction::SetThread(chk.spec.param as ThreadId),
-                );
+                ));
             }
             ops::DDT_QUERY_SIZE => {
                 // Writes [pst entries, ddm bytes] to the buffer at a0.
@@ -248,25 +271,12 @@ impl Module for Ddt {
                 let mut data = Vec::with_capacity(8);
                 data.extend_from_slice(&pst_count.to_le_bytes());
                 data.extend_from_slice(&ddm_bytes.to_le_bytes());
-                ctx.mau_submit(MauRequest {
-                    module: ModuleId::DDT,
-                    addr: chk.operands[0],
-                    op: MauOp::Store { data },
-                    tag: chk.rob.0,
-                });
-                self.retrieval_in_flight = Some(chk.rob);
+                self.retrieve(chk, data, ctx);
             }
             ops::DDT_RETRIEVE => {
                 // Streams the DDM into the buffer at a0.
-                ctx.mau_submit(MauRequest {
-                    module: ModuleId::DDT,
-                    addr: chk.operands[0],
-                    op: MauOp::Store {
-                        data: self.ddm.to_bytes(),
-                    },
-                    tag: chk.rob.0,
-                });
-                self.retrieval_in_flight = Some(chk.rob);
+                let data = self.ddm.to_bytes();
+                self.retrieve(chk, data, ctx);
             }
             _ => {
                 if chk.spec.blocking {
@@ -290,17 +300,17 @@ impl Module for Ddt {
             InstClass::Store => true,
             _ => return,
         };
-        self.pending_mem.insert(
+        self.pending_mem.push((
             info.rob,
             PendingAccess {
                 page: page_id(addr),
                 is_store,
             },
-        );
+        ));
     }
 
     fn on_commit(&mut self, rob: RobId, ctx: &mut ModuleCtx<'_>) {
-        if let Some(action) = self.pending_chk.remove(rob) {
+        if let Some(action) = take_pending(&mut self.pending_chk, rob) {
             match action {
                 PendingChkAction::SetThread(tid) => {
                     if tid < self.config.max_threads {
@@ -310,7 +320,7 @@ impl Module for Ddt {
                 }
             }
         }
-        let Some(acc) = self.pending_mem.remove(rob) else {
+        let Some(acc) = take_pending(&mut self.pending_mem, rob) else {
             return;
         };
         let Some(thread) = self.current_thread else {
@@ -361,18 +371,20 @@ impl Module for Ddt {
     }
 
     fn on_squash(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
-        self.pending_mem.remove(rob);
-        self.pending_chk.remove(rob);
-        if self.retrieval_in_flight == Some(rob) {
+        take_pending(&mut self.pending_mem, rob);
+        take_pending(&mut self.pending_chk, rob);
+        if self.retrieval_in_flight.is_some_and(|(r, _)| r == rob) {
             self.retrieval_in_flight = None;
         }
     }
 
     fn tick(&mut self, ctx: &mut ModuleCtx<'_>) {
         if let Some(comp) = ctx.mau.take_completion(ModuleId::DDT) {
-            if self.retrieval_in_flight.map(|r| r.0) == Some(comp.tag) {
-                let rob = self.retrieval_in_flight.take().expect("checked");
-                ctx.complete_check(rob, Verdict::Pass);
+            if let Some((rob, tag)) = self.retrieval_in_flight {
+                if tag == comp.tag {
+                    self.retrieval_in_flight = None;
+                    ctx.complete_check(rob, Verdict::Pass);
+                }
             }
         }
     }
@@ -420,8 +432,12 @@ mod tests {
     use super::*;
     use rse_core::{Engine, RseConfig};
     use rse_isa::asm::assemble;
+    use rse_isa::layout::DATA_BASE;
+    use rse_isa::{ChkSpec, Inst};
     use rse_mem::{MemConfig, MemorySystem};
-    use rse_pipeline::{Pipeline, PipelineConfig, StepEvent};
+    use rse_pipeline::{
+        CoProcessor, CommitGate, DispatchInfo, Pipeline, PipelineConfig, StepEvent,
+    };
 
     #[test]
     fn selftest_passes_until_thread_register_is_corrupted() {
@@ -579,6 +595,48 @@ mod tests {
         assert_eq!(ddt.tainted_by(4), vec![4]);
         ddt.forget_thread(1);
         assert_eq!(ddt.tainted_by(2), vec![2]);
+    }
+
+    #[test]
+    fn stale_store_of_a_squashed_retrieval_does_not_answer_its_successor() {
+        let mut mem = MemorySystem::new(MemConfig::with_framework());
+        let mut engine = Engine::new(RseConfig::default());
+        engine.install(Box::new(Ddt::new(DdtConfig::default())));
+        engine.enable(ModuleId::DDT);
+        let retrieve = |buf| DispatchInfo {
+            rob: RobId(0),
+            pc: rse_isa::layout::TEXT_BASE,
+            word: 0,
+            inst: Inst::Chk(ChkSpec::new(ModuleId::DDT, true, ops::DDT_RETRIEVE, 0)),
+            operands: [buf, 0],
+            wrong_path: false,
+            injected: false,
+        };
+        let (first, second) = (DATA_BASE, DATA_BASE + 0x1000);
+        engine.on_dispatch(0, &retrieve(first), &mut mem);
+        for now in 1..=2 {
+            engine.tick(now, &mut mem);
+        }
+        assert_eq!(engine.mau().pending(), 1, "the first store is in flight");
+        // The CHECK is squashed before its store lands, and its id goes
+        // to a retrieval into another buffer.
+        engine.on_squash(2, RobId(0), &mut mem);
+        engine.on_dispatch(2, &retrieve(second), &mut mem);
+        let mut gate = CommitGate::Stall;
+        for now in 3..2_000 {
+            engine.tick(now, &mut mem);
+            gate = engine.commit_gate(now, RobId(0));
+            if gate != CommitGate::Stall {
+                break;
+            }
+        }
+        // It completes only once its own store has landed: the serialized
+        // DDM starts with N.
+        assert_eq!(gate, CommitGate::Pass);
+        assert_eq!(
+            mem.memory.read_u32(second),
+            DdtConfig::default().max_threads as u32
+        );
     }
 
     #[test]

@@ -126,8 +126,10 @@ struct PendingCheck {
 enum Stage {
     /// Waiting for the checked instruction to appear in `Fetch_Out`.
     Idle,
-    /// Redundant copy requested from the MAU.
-    MemReq,
+    /// Redundant copy requested from the MAU under this tag. A squashed
+    /// CHECK's request still completes, and its `RobId` may by then
+    /// belong to another CHECK, so completions are matched by the tag.
+    MemReq(u64),
     /// Comparison scheduled; result due at the stored cycle.
     Comp { done_at: u64, error: bool },
 }
@@ -152,6 +154,8 @@ pub struct Icm {
     layout: CheckerLayout,
     cache: LruStack,
     pending: Vec<PendingCheck>,
+    /// CheckerMemory requests issued; the next request's MAU tag.
+    mau_requests: u64,
     stats: IcmStats,
     /// Integrity seal over the CheckerMemory layout, written whenever the
     /// layout legitimately changes. The §3.4 self-test recomputes it, so
@@ -170,6 +174,7 @@ impl Icm {
             layout: CheckerLayout::default(),
             cache: LruStack::new(config.cache_entries),
             pending: Vec::new(),
+            mau_requests: 0,
             stats: IcmStats::default(),
             seal: 0,
         };
@@ -265,7 +270,7 @@ impl Module for Icm {
             return;
         }
         // The checked instruction is the one following the CHECK in the
-        // dispatched stream: the next sequence number.
+        // dispatched stream: the next `RobId`.
         self.pending.push(PendingCheck {
             chk_rob: chk.rob,
             inst_rob: RobId(chk.rob.0 + 1),
@@ -288,8 +293,10 @@ impl Module for Icm {
         // misses the Icm_Cache while a refill is in flight waits in IDLE
         // and re-probes once the batch lands — that is what makes the
         // 8-word batch refill effective.
-        let memreq_busy = || self.pending.iter().any(|p| p.stage == Stage::MemReq);
-        let mut busy = memreq_busy();
+        let mut busy = self
+            .pending
+            .iter()
+            .any(|p| matches!(p.stage, Stage::MemReq(_)));
         for i in 0..self.pending.len() {
             if self.pending[i].stage != Stage::Idle {
                 continue;
@@ -309,13 +316,15 @@ impl Module for Icm {
                 let addr = self.layout.addr_of(pc).unwrap_or(pc);
                 // Batch refill: fetch `refill_batch` consecutive words.
                 let bytes = (self.config.refill_batch as u32) * 4;
+                let tag = self.mau_requests;
+                self.mau_requests += 1;
                 ctx.mau.submit(MauRequest {
                     module: ModuleId::ICM,
                     addr,
                     op: MauOp::Load { bytes },
-                    tag: self.pending[i].chk_rob.0,
+                    tag,
                 });
-                self.pending[i].stage = Stage::MemReq;
+                self.pending[i].stage = Stage::MemReq(tag);
                 busy = true;
             } else {
                 // MEMREQ occupied: stay in IDLE and re-probe next cycle.
@@ -324,7 +333,11 @@ impl Module for Icm {
         }
         // ICM_MEMREQ: collect MAU completions.
         while let Some(comp) = ctx.mau.take_completion(ModuleId::ICM) {
-            let Some(idx) = self.pending.iter().position(|p| p.chk_rob.0 == comp.tag) else {
+            let Some(idx) = self
+                .pending
+                .iter()
+                .position(|p| p.stage == Stage::MemReq(comp.tag))
+            else {
                 continue; // squashed while in flight
             };
             // Install the batch into the cache. Words map back to PCs via
@@ -421,7 +434,10 @@ mod tests {
     use rse_core::{Engine, RseConfig};
     use rse_isa::asm::assemble;
     use rse_mem::{MemConfig, MemorySystem};
-    use rse_pipeline::{CheckPolicy, FetchFault, Pipeline, PipelineConfig, StepEvent};
+    use rse_pipeline::{
+        CheckPolicy, CoProcessor, CommitGate, DispatchInfo, FetchFault, Pipeline, PipelineConfig,
+        StepEvent,
+    };
 
     fn icm_pipeline(src: &str) -> (Pipeline, Engine) {
         let image = assemble(src).expect("assembles");
@@ -536,6 +552,71 @@ mod tests {
         // Re-installing the layout reseals it (repair path).
         icm.install_for_control_flow(&image, &mut mem);
         assert_eq!(Module::self_test(&mut icm), Verdict::Pass);
+    }
+
+    #[test]
+    fn stale_refill_of_a_squashed_check_does_not_answer_its_successor() {
+        // Sixteen branches: the CheckerMemory refill batch of the first
+        // (indices 0-7) does not cover the ninth (index 8).
+        let src: String = (0..16)
+            .map(|i| format!("b{i}: beq r0, r0, b{i}\n"))
+            .collect();
+        let image = assemble(&src).unwrap();
+        let mut mem = MemorySystem::new(MemConfig::with_framework());
+        let mut icm = Icm::new(IcmConfig::default());
+        icm.install_for_control_flow(&image, &mut mem.memory);
+        let mut engine = Engine::new(RseConfig::default());
+        engine.install(Box::new(icm));
+        engine.enable(ModuleId::ICM);
+        let chk = rse_isa::Inst::Chk(rse_isa::ChkSpec::new(
+            ModuleId::ICM,
+            true,
+            rse_isa::chk::ops::ICM_CHECK_NEXT,
+            0,
+        ));
+        // Dispatches a CHECK and branch `i`, fetched as `word`, as ids 0
+        // and 1.
+        let dispatch = |engine: &mut Engine, mem: &mut MemorySystem, now, i: usize, word| {
+            let pc = image.text_base + 4 * i as u32;
+            let branch = rse_isa::decode(image.text[i]).unwrap();
+            for (rob, pc, word, inst) in [(0, pc - 4, 0, chk), (1, pc, word, branch)] {
+                let info = DispatchInfo {
+                    rob: RobId(rob),
+                    pc,
+                    word,
+                    inst,
+                    operands: [0, 0],
+                    wrong_path: false,
+                    injected: false,
+                };
+                engine.on_dispatch(now, &info, mem);
+            }
+        };
+        // A CHECK for branch 0 misses the Icm_Cache and starts a refill...
+        dispatch(&mut engine, &mut mem, 0, 0, image.text[0]);
+        for now in 1..=3 {
+            engine.tick(now, &mut mem);
+        }
+        assert_eq!(engine.mau().pending(), 1, "the refill is in flight");
+        // ...and is squashed with its branch before the refill lands. The
+        // same two ids go to a CHECK for branch 8, whose fetched word is
+        // corrupted.
+        engine.on_squash(3, RobId(1), &mut mem);
+        engine.on_squash(3, RobId(0), &mut mem);
+        dispatch(&mut engine, &mut mem, 3, 8, image.text[8] ^ 0x40);
+        let mut gate = CommitGate::Stall;
+        for now in 4..2_000 {
+            engine.tick(now, &mut mem);
+            gate = engine.commit_gate(now, RobId(0));
+            if gate != CommitGate::Stall {
+                break;
+            }
+        }
+        // The stale batch does not cover branch 8; answered by it, the
+        // CHECK would pass the corrupted word.
+        assert_eq!(gate, CommitGate::Flush);
+        let icm: &Icm = engine.module_ref(ModuleId::ICM).unwrap();
+        assert_eq!(icm.stats().mismatches, 1);
     }
 
     #[test]

@@ -49,3 +49,13 @@ pub use ddt::{Ddt, DdtConfig, SavedPage, ThreadId, SAVE_PAGE_EXCEPTION};
 pub use dsm::{BlockSig, Dsm, DsmStats};
 pub use icm::{Icm, IcmConfig};
 pub use mlr::{Mlr, MlrConfig, RandomizedBases};
+
+use rse_pipeline::RobId;
+
+/// Removes and returns `rob`'s entry from a module's list of
+/// per-instruction state. The lists hold at most one entry per in-flight
+/// instruction, so a scan is all a lookup needs.
+fn take_pending<T>(list: &mut Vec<(RobId, T)>, rob: RobId) -> Option<T> {
+    let i = list.iter().position(|&(r, _)| r == rob)?;
+    Some(list.swap_remove(i).1)
+}

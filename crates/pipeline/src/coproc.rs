@@ -18,11 +18,19 @@ use rse_isa::Inst;
 use rse_mem::MemorySystem;
 use std::fmt;
 
-/// Unique identity of an in-flight instruction: its dispatch sequence
-/// number. The paper uses the reorder-buffer entry number for the same
-/// purpose ("a unique identifier by which it is addressed throughout its
-/// lifetime in the pipeline"); a monotonically increasing sequence avoids
-/// slot-reuse ambiguity in software.
+/// Identity of an in-flight instruction: its position in commit order
+/// (the number of instructions committed before it). The paper addresses
+/// an instruction by its reorder-buffer entry number ("a unique
+/// identifier by which it is addressed throughout its lifetime in the
+/// pipeline"); this is that number before it is reduced modulo the ROB
+/// size, so the live ids are always consecutive and `rob % entries`
+/// names a ROB slot no other live instruction holds.
+///
+/// When an instruction is squashed, its id goes to the next instruction
+/// dispatched in its place, as hardware reuses the ROB slot. So no state
+/// may use an id after its instruction commits or is squashed; a module
+/// that must match a reply to a request that can outlive a squash (a MAU
+/// transfer) tags it with a number of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RobId(pub u64);
 

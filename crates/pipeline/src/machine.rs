@@ -170,7 +170,6 @@ struct StoreData {
 
 #[derive(Debug, Clone)]
 struct RobEntry {
-    id: RobId,
     pc: u32,
     word: u32,
     inst: Inst,
@@ -218,11 +217,10 @@ pub struct Pipeline {
     fetch_pc: u32,
     fetch_queue: VecDeque<FetchedInst>,
     rob: VecDeque<RobEntry>,
-    next_id: u64,
     /// Entries committed so far. Every ROB entry has a `seq`, its
     /// position in push order counting only entries not squashed, so
     /// `rob[i]` has `seq == popped + i` and a `seq` below `popped` has
-    /// committed.
+    /// committed. The `seq` is also the entry's [`RobId`].
     popped: u64,
     /// SimpleScalar's create vector: the `seq` of the youngest in-flight
     /// writer of each register. Set at dispatch, cleared when that
@@ -264,7 +262,6 @@ impl Pipeline {
             fetch_pc: layout::TEXT_BASE,
             fetch_queue: VecDeque::new(),
             rob: VecDeque::new(),
-            next_id: 0,
             popped: 0,
             producers: [None; 32],
             lsq_len: 0,
@@ -507,6 +504,13 @@ impl Pipeline {
         event
     }
 
+    /// The [`RobId`] one past the youngest ROB entry: the id the next
+    /// dispatch takes, and, right after a `pop_back`, the id of the entry
+    /// just removed.
+    fn tail_id(&self) -> RobId {
+        RobId(self.popped + self.rob.len() as u64)
+    }
+
     // --- commit ---------------------------------------------------------
 
     fn commit_stage<C: CoProcessor + ?Sized>(&mut self, cp: &mut C) -> Option<StepEvent> {
@@ -528,7 +532,7 @@ impl Pipeline {
                     return Some(StepEvent::Halted);
                 }
             }
-            match cp.commit_gate(self.now, head.id) {
+            match cp.commit_gate(self.now, RobId(self.popped)) {
                 CommitGate::Stall => {
                     self.stats.commit_stall_cycles += 1;
                     return None;
@@ -561,6 +565,7 @@ impl Pipeline {
         cp: &mut C,
         entry: RobEntry,
     ) -> Option<StepEvent> {
+        let rob = RobId(self.popped);
         self.stats.committed += 1;
         if entry.injected {
             self.stats.committed_injected_chk += 1;
@@ -577,7 +582,7 @@ impl Pipeline {
         }
         // The Commit_Out indication precedes the store's memory update so
         // a co-processor (the DDT) can capture the pre-store page image.
-        cp.on_commit(self.now, entry.id, &mut self.mem);
+        cp.on_commit(self.now, rob, &mut self.mem);
         match entry.inst.class() {
             InstClass::Load => self.stats.loads_committed += 1,
             InstClass::Store => {
@@ -629,9 +634,9 @@ impl Pipeline {
     /// Squashes every in-flight instruction and resets speculative state
     /// to architectural state.
     fn flush_all<C: CoProcessor + ?Sized>(&mut self, cp: &mut C) {
-        while let Some(e) = self.rob.pop_back() {
+        while self.rob.pop_back().is_some() {
             self.stats.squashed += 1;
-            cp.on_squash(self.now, e.id, &mut self.mem);
+            cp.on_squash(self.now, self.tail_id(), &mut self.mem);
         }
         self.producers = [None; 32];
         self.lsq_len = 0;
@@ -653,7 +658,7 @@ impl Pipeline {
                 e.state = EntryState::Done;
                 if !e.wrong_path {
                     let info = ExecuteInfo {
-                        rob: e.id,
+                        rob: RobId(self.popped + idx as u64),
                         result: e.result,
                         eff_addr: e.eff_addr,
                         loaded: e.loaded,
@@ -674,7 +679,7 @@ impl Pipeline {
                 if e.inst.class().is_mem() {
                     self.lsq_len -= 1;
                 }
-                cp.on_squash(self.now, e.id, &mut self.mem);
+                cp.on_squash(self.now, self.tail_id(), &mut self.mem);
             }
             // The squash took the youngest entries, so every survivor's
             // producers survived too; only the table's view of the
@@ -812,11 +817,9 @@ impl Pipeline {
                 break;
             }
             let f = self.fetch_queue.pop_front().expect("front exists");
-            let id = RobId(self.next_id);
-            self.next_id += 1;
+            let rob = self.tail_id();
             let wrong_path = self.wrong_path_mode;
             let mut entry = RobEntry {
-                id,
                 pc: f.pc,
                 word: f.word,
                 inst: f.inst,
@@ -840,7 +843,7 @@ impl Pipeline {
                 *dep = src.and_then(|reg| self.producers[reg.index()]);
             }
             if let Some(dest) = entry.inst.dest() {
-                self.producers[dest.index()] = Some(self.popped + self.rob.len() as u64);
+                self.producers[dest.index()] = Some(rob.0);
             }
             if is_mem {
                 self.lsq_len += 1;
@@ -849,7 +852,7 @@ impl Pipeline {
                 self.exec_functional(&mut entry, &f);
             }
             let info = DispatchInfo {
-                rob: entry.id,
+                rob,
                 pc: entry.pc,
                 word: entry.word,
                 inst: entry.inst,

@@ -257,6 +257,20 @@ diff -u results/table4.txt "$TMP/table4" \
   || { echo "FAIL: table4_framework diverges from results/table4.txt"; exit 1; }
 echo "table 4: byte-identical to results/table4.txt"
 
+echo "== Tables 5 and 6, Figure 9 and the ablations (results/*.txt)"
+# The MLR, AHBM and DDT evaluations and the ablation study are pure
+# functions of the simulator too; together they add about 12 s
+# (fig9_ddt ~9 s, ablations ~3 s). After an intentional change,
+# regenerate the file with the same command, e.g.:
+#   cargo run --release --offline -p rse-bench --bin fig9_ddt > results/fig9_ddt.txt
+for table in table5_mlr table6_ahbm fig9_ddt ablations; do
+  cargo run --release --offline -q -p rse-bench --bin "$table" \
+    > "$TMP/$table" 2>/dev/null
+  diff -u "results/$table.txt" "$TMP/$table" \
+    || { echo "FAIL: $table diverges from results/$table.txt"; exit 1; }
+done
+echo "tables 5 and 6, figure 9, ablations: byte-identical to results/"
+
 echo "== benchmark pin tests (perfbench: campaign digests, kernel cycles, fleet digests)"
 # The benchmark's own workspace pins what its workloads compute: the
 # campaign record digests, kernel-sim's simulated cycles and the churn

@@ -12,7 +12,8 @@ use rse_support::prelude::*;
 
 /// Operations the program generator can emit. Loads/stores stay within a
 /// 256-byte scratch buffer, except [`Op::Wrap`]'s; loops are bounded by
-/// construction.
+/// construction. [`Op::Wrap`] and [`Op::Seed`] are drawn only by the
+/// differential harness, so the corpus generator stays unchanged.
 #[derive(Debug, Clone)]
 pub enum Op {
     Alu {
@@ -62,6 +63,13 @@ pub enum Op {
         width: u8,
         reg: u8,
         off: u8,
+    },
+    /// `li` of a full 32-bit value. Generated registers otherwise start
+    /// at 0 and stay small, so a store whose bytes equal memory's would
+    /// hide a load that reads the wrong bytes.
+    Seed {
+        reg: u8,
+        value: u32,
     },
 }
 
@@ -152,6 +160,9 @@ pub fn emit(ops: &[Op]) -> String {
                     off % 8
                 ));
             }
+            Op::Seed { reg: r, value } => {
+                src.push_str(&format!("        li   {}, {value:#x}\n", reg(*r)));
+            }
             Op::Call => {
                 src.push_str(&format!(
                     "        jal  F{label}\n        b    L{label}\nF{label}: addi r20, r20, 3\n        jr   ra\nL{label}:\n"
@@ -165,7 +176,7 @@ pub fn emit(ops: &[Op]) -> String {
 }
 
 /// The strategy generating a single [`Op`] of the differential harness:
-/// the corpus ops plus [`Op::Wrap`].
+/// the corpus ops plus [`Op::Wrap`] and [`Op::Seed`].
 pub fn op_strategy() -> impl Strategy<Value = Op> {
     let mut arms = corpus_arms();
     arms.push(
@@ -176,6 +187,11 @@ pub fn op_strategy() -> impl Strategy<Value = Op> {
                 reg,
                 off,
             })
+            .boxed(),
+    );
+    arms.push(
+        (any::<u8>(), any::<u32>())
+            .prop_map(|(reg, value)| Op::Seed { reg, value })
             .boxed(),
     );
     Union::new(arms)
@@ -284,7 +300,7 @@ pub fn state_digest(regs: &[u32; 32], scratch: &[u8]) -> u64 {
 }
 
 /// Deterministically generates the corpus program for `seed`: a
-/// sequence of 4–40 ops drawn from [`op_strategy`] through the
+/// sequence of 4–40 ops drawn from [`corpus_op_strategy`] through the
 /// property-harness generator, rendered to assembler source.
 pub fn generate_program(seed: u64) -> String {
     let strategy = rse_support::collection::vec(corpus_op_strategy(), 4..40);

@@ -2,14 +2,19 @@
 //!
 //! Random token streams go through the assembler; the ones that
 //! assemble run under the guest OS for a small cycle budget, and so do
-//! random text images that no assembler produced. Any panic fails the
-//! property, and the harness shrinks the source to a minimal failing
-//! input and prints the `RSE_PT_SEED` that replays it.
+//! random text images that no assembler produced, and random CHECK
+//! streams with every paper module installed and enabled. Any panic
+//! fails the property, and the harness shrinks the source to a minimal
+//! failing input and prints the `RSE_PT_SEED` that replays it.
 
 use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
-use rse::isa::Image;
+use rse::isa::{Image, ModuleId};
 use rse::mem::{MemConfig, MemorySystem};
+use rse::modules::ahbm::{Ahbm, AhbmConfig};
+use rse::modules::ddt::{Ddt, DdtConfig};
+use rse::modules::icm::{Icm, IcmConfig};
+use rse::modules::mlr::{Mlr, MlrConfig};
 use rse::pipeline::{Pipeline, PipelineConfig};
 use rse::sys::{loader, Os, OsConfig};
 use rse_support::prelude::*;
@@ -124,6 +129,44 @@ fn run_under_os(image: &Image) {
     Os::new(OsConfig::default()).run(&mut cpu, &mut engine, BUDGET);
 }
 
+/// One CHECK to a module slot 0–4 (the four paper modules and the DSM's
+/// empty slot), blocking or not, with any op and param, after random
+/// wide operands in `a0`/`a1`.
+fn check_line() -> impl Strategy<Value = String> {
+    (
+        (0..5u8, any::<bool>(), 0..32u8, any::<u16>()),
+        (any::<u32>(), any::<u32>()),
+    )
+        .prop_map(|((module, blocking, op, param), (a0, a1))| {
+            let mode = if blocking { "blk" } else { "nblk" };
+            format!("li a0, {a0:#x}\nli a1, {a1:#x}\nchk m{module}, {mode}, {op}, {param}")
+        })
+}
+
+/// Runs `image` under the guest OS for [`BUDGET`] cycles on the machine
+/// `simrun --framework --icm --mlr --ddt --ahbm` builds.
+fn run_with_every_module(image: &Image) {
+    let pipe = PipelineConfig {
+        chk_serialize_mask: 1 << ModuleId::MLR.number(),
+        ..PipelineConfig::default()
+    };
+    let mut cpu = Pipeline::new(pipe, MemorySystem::new(MemConfig::with_framework()));
+    loader::load_process(&mut cpu, image);
+    let mut engine = Engine::new(RseConfig::default());
+    let mut icm = Icm::new(IcmConfig::default());
+    icm.install_for_control_flow(image, &mut cpu.mem_mut().memory);
+    engine.install(Box::new(icm));
+    engine.install(Box::new(Mlr::new(MlrConfig::default())));
+    let mut ddt = Ddt::new(DdtConfig::default());
+    ddt.set_current_thread(0);
+    engine.install(Box::new(ddt));
+    engine.install(Box::new(Ahbm::new(AhbmConfig::default())));
+    for id in [ModuleId::ICM, ModuleId::MLR, ModuleId::DDT, ModuleId::AHBM] {
+        engine.enable(id);
+    }
+    Os::new(OsConfig::default()).run(&mut cpu, &mut engine, BUDGET);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
     #[test]
@@ -140,5 +183,14 @@ proptest! {
         let mut image = assemble("main: halt").expect("assembles");
         image.text = words;
         run_under_os(&image);
+    }
+
+    #[test]
+    fn check_streams_run_without_panic_on_every_module(
+        checks in rse_support::collection::vec(check_line(), 1..12)
+    ) {
+        let src = format!("main: {}\nhalt", checks.join("\n"));
+        let image = assemble(&src).expect("a CHECK stream assembles");
+        run_with_every_module(&image);
     }
 }
