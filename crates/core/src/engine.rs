@@ -336,10 +336,10 @@ impl Engine {
     /// Runs `f` for each installed module of the slots in `mask` with a
     /// [`ModuleCtx`]. With `skip_down`, modules decoupled by the
     /// per-module multiplexer (quarantined/disabled) are left out — used
-    /// for the dispatch and execute input taps, which the mux
-    /// disconnects; commit/squash bookkeeping and clock ticks still reach
-    /// a quarantined module so it can drop stale state and answer
-    /// self-test probes.
+    /// for the `Fetch_Out` scan's CHECK delivery and the dispatch and
+    /// execute input taps, which the mux disconnects; commit/squash
+    /// bookkeeping, clock ticks and self-test probes still reach a
+    /// quarantined module so it can drop stale state and answer them.
     fn for_each_module(
         &mut self,
         mask: u16,
@@ -371,33 +371,6 @@ impl Engine {
             };
             f(module, &mut ctx);
         }
-    }
-
-    /// Runs `f` for one specific module slot (even callbacks like
-    /// `on_chk` only go to the addressed module).
-    fn with_module(
-        &mut self,
-        id: ModuleId,
-        now: u64,
-        mem: &mut MemorySystem,
-        f: impl FnOnce(&mut dyn Module, &mut ModuleCtx<'_>),
-    ) {
-        if !self.is_enabled(id) {
-            return;
-        }
-        let Some(module) = self.slots[id.index()].as_deref_mut() else {
-            return;
-        };
-        let mut ctx = ModuleCtx {
-            now,
-            mem,
-            mau: &mut self.mau,
-            ioq: &self.ioq,
-            ioq_writes: &mut self.pending_ioq,
-            exceptions: &mut self.exceptions,
-            broadcast_delay: self.config.ioq_broadcast_delay,
-        };
-        f(module, &mut ctx);
     }
 
     /// Applies enable/disable requests at dispatch (program order); the
@@ -508,7 +481,7 @@ impl Engine {
                 operands: [0, 0],
                 wrong_path: false,
             };
-            self.with_module(id, now, mem, |m, ctx| m.on_chk(&chk, ctx));
+            self.for_each_module(bit(id), now, mem, false, |m, ctx| m.on_chk(&chk, ctx));
         }
     }
 }
@@ -622,10 +595,8 @@ impl CoProcessor for Engine {
         // disconnected from the scan — the CHECK is simply lost.
         if let Some(pos) = self.pending_chk.iter().position(|p| p.chk.rob == rob) {
             let p = self.pending_chk.remove(pos).expect("position valid");
-            let chk = p.chk;
-            if !self.watchdog.module_down(chk.spec.module) {
-                self.with_module(chk.spec.module, now, mem, |m, ctx| m.on_chk(&chk, ctx));
-            }
+            let mask = self.enabled & bit(p.chk.spec.module);
+            self.for_each_module(mask, now, mem, true, |m, ctx| m.on_chk(&p.chk, ctx));
         }
         if let Some(e) = self.ioq.entry(rob).copied() {
             // Enable/disable becomes architectural at commit.
@@ -773,10 +744,8 @@ impl CoProcessor for Engine {
             .is_some_and(|p| p.deliver_at <= now)
         {
             let p = self.pending_chk.pop_front().expect("front checked");
-            let chk = p.chk;
-            if !self.watchdog.module_down(chk.spec.module) {
-                self.with_module(chk.spec.module, now, mem, |m, ctx| m.on_chk(&chk, ctx));
-            }
+            let mask = self.enabled & bit(p.chk.spec.module);
+            self.for_each_module(mask, now, mem, true, |m, ctx| m.on_chk(&p.chk, ctx));
         }
         // The MAU moves data.
         self.mau.tick(now, mem);

@@ -128,7 +128,10 @@ pub(crate) struct IoqEntry {
     pub(crate) kind: IoqEntryKind,
     check_valid: bool,
     pub(crate) check: bool,
-    pub(crate) allocated_at: u64,
+    /// The cycle the watchdog's timeout timer was last armed: set at
+    /// allocation and reset at each timeout charge, so the timer re-arms
+    /// instead of firing every cycle.
+    pub(crate) armed_at: u64,
     /// Whether a module actually wrote the result (distinguishes a real
     /// completion from a stuck-at-1 `checkValid`).
     pub(crate) module_wrote: bool,
@@ -136,9 +139,6 @@ pub(crate) struct IoqEntry {
     /// commit as a NOP: its module was quarantined or disabled at
     /// dispatch or while the entry was in flight.
     pub(crate) muxed: bool,
-    /// The last cycle the watchdog charged this entry a timeout, so the
-    /// timer re-arms instead of firing every cycle.
-    pub(crate) charged_at: Option<u64>,
 }
 
 impl IoqEntry {
@@ -268,10 +268,9 @@ impl Ioq {
             kind,
             check_valid,
             check,
-            allocated_at: now,
+            armed_at: now,
             module_wrote: false,
             muxed: false,
-            charged_at: None,
         });
     }
 

@@ -5,11 +5,16 @@
 //! thus eliminates the need for a bus interface unit in each module."
 //!
 //! A module places a request consisting of an address, the access type
-//! (load/store), a byte count, and a tag identifying its internal buffer.
-//! Requests sit in a queue serviced cyclically, one at a time; each
-//! transfer goes over the shared external bus with *lower* priority than
-//! the pipeline (the arbiter of Figure 1), and deliberately bypasses the
-//! caches so framework traffic never pollutes application cache state.
+//! (load/store) and a byte count. The MAU numbers the requests in the
+//! order it accepts them and hands the number back as the request's
+//! ticket, which the completion carries (the paper's tag). A module
+//! keeps the ticket and matches a reply to its request by it, never by
+//! the CHECK's `RobId`: a squashed CHECK's transfer still completes, by
+//! which time its id may belong to another CHECK. Requests sit in a
+//! queue serviced cyclically, one at a time; each transfer goes over the
+//! shared external bus with *lower* priority than the pipeline (the
+//! arbiter of Figure 1), and deliberately bypasses the caches so
+//! framework traffic never pollutes application cache state.
 
 use rse_isa::ModuleId;
 use rse_mem::MemorySystem;
@@ -39,9 +44,6 @@ pub struct MauRequest {
     pub addr: u32,
     /// Load or store, with payload.
     pub op: MauOp,
-    /// Module-chosen tag, returned with the completion (the paper's
-    /// "pointer to a buffer in the module").
-    pub tag: u64,
 }
 
 /// A completed MAU request, delivered back to the owning module.
@@ -49,7 +51,7 @@ pub struct MauRequest {
 pub struct MauCompletion {
     /// The requesting module.
     pub module: ModuleId,
-    /// The request's tag.
+    /// The request's ticket, as [`Mau::submit`] returned it.
     pub tag: u64,
     /// Address of the transfer.
     pub addr: u32,
@@ -61,6 +63,7 @@ pub struct MauCompletion {
 
 #[derive(Debug)]
 struct InFlight {
+    ticket: u64,
     request: MauRequest,
     done_at: u64,
 }
@@ -69,7 +72,8 @@ struct InFlight {
 /// serviced request queue.
 #[derive(Debug, Default)]
 pub struct Mau {
-    queue: VecDeque<MauRequest>,
+    /// Accepted requests, with their tickets.
+    queue: VecDeque<(u64, MauRequest)>,
     in_flight: Option<InFlight>,
     completions: VecDeque<MauCompletion>,
     /// One-shot injected fault: drop (never deliver) the `index`-th
@@ -80,7 +84,7 @@ pub struct Mau {
     /// Completions finished per module slot (the index space the drop
     /// fault addresses).
     finished_per_module: [u64; ModuleId::SLOTS],
-    /// Requests accepted.
+    /// Requests accepted; the next request's ticket.
     pub requests: u64,
     /// Transfers finished.
     pub completed: u64,
@@ -96,10 +100,14 @@ impl Mau {
         Mau::default()
     }
 
-    /// Queues a request from a module.
-    pub fn submit(&mut self, request: MauRequest) {
+    /// Queues a request from a module and returns its ticket: the
+    /// request's index among all requests accepted. The completion
+    /// carries it back as [`MauCompletion::tag`].
+    pub fn submit(&mut self, request: MauRequest) -> u64 {
+        let ticket = self.requests;
         self.requests += 1;
-        self.queue.push_back(request);
+        self.queue.push_back((ticket, request));
+        ticket
     }
 
     /// Number of queued (not yet started) requests.
@@ -125,12 +133,7 @@ impl Mau {
         if let Some(fl) = &self.in_flight {
             if now >= fl.done_at {
                 let fl = self.in_flight.take().expect("checked above");
-                let MauRequest {
-                    module,
-                    addr,
-                    op,
-                    tag,
-                } = fl.request;
+                let MauRequest { module, addr, op } = fl.request;
                 let data = match op {
                     MauOp::Load { bytes } => {
                         let mut buf = vec![0u8; bytes as usize];
@@ -155,7 +158,7 @@ impl Mau {
                 } else {
                     self.completions.push_back(MauCompletion {
                         module,
-                        tag,
+                        tag: fl.ticket,
                         addr,
                         data,
                         finished_at: now,
@@ -164,14 +167,15 @@ impl Mau {
             }
         }
         if self.in_flight.is_none() {
-            if let Some(req) = self.queue.pop_front() {
-                let bytes = match &req.op {
+            if let Some((ticket, request)) = self.queue.pop_front() {
+                let bytes = match &request.op {
                     MauOp::Load { bytes } => *bytes,
                     MauOp::Store { data } => data.len() as u32,
                 };
                 let done_at = mem.mau_access(now, bytes);
                 self.in_flight = Some(InFlight {
-                    request: req,
+                    ticket,
+                    request,
                     done_at,
                 });
             }
@@ -199,11 +203,10 @@ mod tests {
         let mut mem = mem();
         mem.memory.write_u32(0x1000, 0xDEAD_BEEF);
         let mut mau = Mau::new();
-        mau.submit(MauRequest {
+        let ticket = mau.submit(MauRequest {
             module: ModuleId::ICM,
             addr: 0x1000,
             op: MauOp::Load { bytes: 4 },
-            tag: 7,
         });
         let mut now = 0;
         let comp = loop {
@@ -214,7 +217,7 @@ mod tests {
             now += 1;
             assert!(now < 1000, "MAU never completed");
         };
-        assert_eq!(comp.tag, 7);
+        assert_eq!(comp.tag, ticket);
         assert_eq!(
             u32::from_le_bytes(comp.data.try_into().unwrap()),
             0xDEAD_BEEF
@@ -233,7 +236,6 @@ mod tests {
             op: MauOp::Store {
                 data: vec![1, 2, 3, 4],
             },
-            tag: 0,
         });
         mau.tick(0, &mut mem);
         // Not yet written mid-flight.
@@ -249,14 +251,17 @@ mod tests {
     fn requests_service_in_order_one_at_a_time() {
         let mut mem = mem();
         let mut mau = Mau::new();
-        for i in 0..3u64 {
-            mau.submit(MauRequest {
-                module: ModuleId::DDT,
-                addr: 0x3000 + 8 * i as u32,
-                op: MauOp::Load { bytes: 8 },
-                tag: i,
-            });
-        }
+        let tickets: Vec<u64> = (0..3u32)
+            .map(|i| {
+                mau.submit(MauRequest {
+                    module: ModuleId::DDT,
+                    addr: 0x3000 + 8 * i,
+                    op: MauOp::Load { bytes: 8 },
+                })
+            })
+            .collect();
+        // Tickets number the requests in the order they were accepted.
+        assert_eq!(tickets, vec![0, 1, 2]);
         assert_eq!(mau.pending(), 3);
         let mut tags = Vec::new();
         for now in 0..200 {
@@ -265,7 +270,7 @@ mod tests {
                 tags.push(c.tag);
             }
         }
-        assert_eq!(tags, vec![0, 1, 2]);
+        assert_eq!(tags, tickets);
         assert_eq!(mau.pending(), 0);
         assert_eq!(mau.completed, 3);
     }
@@ -274,14 +279,15 @@ mod tests {
     fn injected_drop_discards_exactly_one_completion() {
         let mut mem = mem();
         let mut mau = Mau::new();
-        for i in 0..3u64 {
-            mau.submit(MauRequest {
-                module: ModuleId::ICM,
-                addr: 0x3000 + 8 * i as u32,
-                op: MauOp::Load { bytes: 8 },
-                tag: i,
-            });
-        }
+        let tickets: Vec<u64> = (0..3u32)
+            .map(|i| {
+                mau.submit(MauRequest {
+                    module: ModuleId::ICM,
+                    addr: 0x3000 + 8 * i,
+                    op: MauOp::Load { bytes: 8 },
+                })
+            })
+            .collect();
         mau.inject_drop(Some((ModuleId::ICM, 1)));
         let mut tags = Vec::new();
         for now in 0..300 {
@@ -291,7 +297,7 @@ mod tests {
             }
         }
         // The middle completion vanished; the transfer still counted.
-        assert_eq!(tags, vec![0, 2]);
+        assert_eq!(tags, vec![tickets[0], tickets[2]]);
         assert_eq!(mau.completed, 3);
         assert_eq!(mau.drops, 1);
         assert_eq!(mau.finished_for(ModuleId::ICM), 3);
@@ -302,16 +308,15 @@ mod tests {
         let mut mem = mem();
         let mut mau = Mau::new();
         mau.inject_drop(Some((ModuleId::DDT, 0)));
-        mau.submit(MauRequest {
+        let ticket = mau.submit(MauRequest {
             module: ModuleId::ICM,
             addr: 0,
             op: MauOp::Load { bytes: 4 },
-            tag: 9,
         });
         for now in 0..200 {
             mau.tick(now, &mut mem);
         }
-        assert_eq!(mau.take_completion(ModuleId::ICM).unwrap().tag, 9);
+        assert_eq!(mau.take_completion(ModuleId::ICM).unwrap().tag, ticket);
         assert_eq!(mau.drops, 0);
     }
 
@@ -319,23 +324,21 @@ mod tests {
     fn completions_routed_per_module() {
         let mut mem = mem();
         let mut mau = Mau::new();
-        mau.submit(MauRequest {
+        let icm = mau.submit(MauRequest {
             module: ModuleId::ICM,
             addr: 0,
             op: MauOp::Load { bytes: 4 },
-            tag: 1,
         });
-        mau.submit(MauRequest {
+        let ddt = mau.submit(MauRequest {
             module: ModuleId::DDT,
             addr: 4,
             op: MauOp::Load { bytes: 4 },
-            tag: 2,
         });
         for now in 0..200 {
             mau.tick(now, &mut mem);
         }
         assert!(mau.take_completion(ModuleId::MLR).is_none());
-        assert_eq!(mau.take_completion(ModuleId::DDT).unwrap().tag, 2);
-        assert_eq!(mau.take_completion(ModuleId::ICM).unwrap().tag, 1);
+        assert_eq!(mau.take_completion(ModuleId::DDT).unwrap().tag, ddt);
+        assert_eq!(mau.take_completion(ModuleId::ICM).unwrap().tag, icm);
     }
 }

@@ -9,7 +9,7 @@
 //! the module keeps, filled through the MAU.
 
 use crate::ioq::Ioq;
-use crate::mau::{Mau, MauRequest};
+use crate::mau::Mau;
 use rse_isa::{ChkSpec, ModuleId};
 use rse_mem::MemorySystem;
 use rse_pipeline::{CoprocException, DispatchInfo, ExecuteInfo, RobId};
@@ -75,11 +75,6 @@ impl ModuleCtx<'_> {
     pub fn complete_check(&mut self, rob: RobId, verdict: Verdict) {
         let at = self.now + self.broadcast_delay;
         self.ioq_writes.push((at, rob, verdict == Verdict::Fail));
-    }
-
-    /// Submits a memory request to the MAU.
-    pub fn mau_submit(&mut self, request: MauRequest) {
-        self.mau.submit(request);
     }
 
     /// Raises an exception toward the operating system (e.g. the DDT's

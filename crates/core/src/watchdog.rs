@@ -370,11 +370,10 @@ impl Watchdog {
             if self.module_down(id) {
                 continue;
             }
-            // Re-arming timer: charge at `allocated_at + timeout + 1`,
-            // then again every `timeout` cycles while still stuck.
-            let armed_since = entry.charged_at.unwrap_or(entry.allocated_at);
-            if now.saturating_sub(armed_since) > self.config.timeout {
-                entry.charged_at = Some(now);
+            // Re-arming timer: armed at allocation, charged at
+            // `armed_at + timeout + 1` and re-armed, while still stuck.
+            if now.saturating_sub(entry.armed_at) > self.config.timeout {
+                entry.armed_at = now;
                 fired.push((rob, id));
             }
         }

@@ -326,10 +326,10 @@ impl Ahbm {
         e.alive = true;
     }
 
-    /// Host-side sampling hook: runs one Adaptive Timeout Monitor pass if
-    /// the sampling interval has elapsed (the same behavior `Module::tick`
-    /// performs inside the engine) — used by host-level evaluations that
-    /// drive the module without a pipeline.
+    /// Sampling hook: runs one Adaptive Timeout Monitor pass if the
+    /// sampling interval has elapsed. `Module::tick` calls it every cycle
+    /// inside the engine; host-level evaluations that drive the module
+    /// without a pipeline call it directly.
     pub fn host_sample(&mut self, now: u64) {
         if now >= self.next_sample {
             self.sample(now);
@@ -393,10 +393,7 @@ impl Module for Ahbm {
     }
 
     fn tick(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if ctx.now >= self.next_sample {
-            self.sample(ctx.now);
-            self.next_sample = ctx.now + self.config.sample_interval;
-        }
+        self.host_sample(ctx.now);
     }
 
     fn self_test(&mut self) -> Verdict {

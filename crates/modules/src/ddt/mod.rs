@@ -96,11 +96,6 @@ struct PendingAccess {
     is_store: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum PendingChkAction {
-    SetThread(ThreadId),
-}
-
 /// The Data Dependency Tracker module.
 #[derive(Debug)]
 pub struct Ddt {
@@ -116,18 +111,14 @@ pub struct Ddt {
     thread_shadow: Option<ThreadId>,
     /// Accesses executed but not yet committed (at most the LSQ's).
     pending_mem: Vec<(RobId, PendingAccess)>,
-    /// `DDT_SET_THREAD` CHECKs not yet committed.
-    pending_chk: Vec<(RobId, PendingChkAction)>,
+    /// `DDT_SET_THREAD` CHECKs not yet committed, with their thread ids.
+    pending_chk: Vec<(RobId, ThreadId)>,
     saved_pages: Vec<SavedPage>,
     stats: DdtStats,
     last_log_cycle: Option<u64>,
     /// The in-flight retrieval store: the blocking CHECK it answers and
-    /// its MAU tag. The CHECK's id can pass to another CHECK if it is
-    /// squashed while the store is still in flight, so the completion is
-    /// matched by the tag.
+    /// its MAU ticket.
     retrieval_in_flight: Option<(RobId, u64)>,
-    /// MAU requests issued; the next request's tag.
-    mau_requests: u64,
 }
 
 impl Ddt {
@@ -145,22 +136,18 @@ impl Ddt {
             stats: DdtStats::default(),
             last_log_cycle: None,
             retrieval_in_flight: None,
-            mau_requests: 0,
         }
     }
 
     /// Stores `data` to the buffer at the CHECK's `a0` through the MAU;
     /// the CHECK completes when the store lands.
     fn retrieve(&mut self, chk: &ChkDispatch, data: Vec<u8>, ctx: &mut ModuleCtx<'_>) {
-        let tag = self.mau_requests;
-        self.mau_requests += 1;
-        ctx.mau_submit(MauRequest {
+        let ticket = ctx.mau.submit(MauRequest {
             module: ModuleId::DDT,
             addr: chk.operands[0],
             op: MauOp::Store { data },
-            tag,
         });
-        self.retrieval_in_flight = Some((chk.rob, tag));
+        self.retrieval_in_flight = Some((chk.rob, ticket));
     }
 
     /// Module counters.
@@ -259,10 +246,7 @@ impl Module for Ddt {
             }
             ops::DDT_SET_THREAD => {
                 // Becomes effective at commit (asynchronous logging).
-                self.pending_chk.push((
-                    chk.rob,
-                    PendingChkAction::SetThread(chk.spec.param as ThreadId),
-                ));
+                self.pending_chk.push((chk.rob, chk.spec.param as ThreadId));
             }
             ops::DDT_QUERY_SIZE => {
                 // Writes [pst entries, ddm bytes] to the buffer at a0.
@@ -310,14 +294,10 @@ impl Module for Ddt {
     }
 
     fn on_commit(&mut self, rob: RobId, ctx: &mut ModuleCtx<'_>) {
-        if let Some(action) = take_pending(&mut self.pending_chk, rob) {
-            match action {
-                PendingChkAction::SetThread(tid) => {
-                    if tid < self.config.max_threads {
-                        self.current_thread = Some(tid);
-                        self.thread_shadow = Some(tid);
-                    }
-                }
+        if let Some(tid) = take_pending(&mut self.pending_chk, rob) {
+            if tid < self.config.max_threads {
+                self.current_thread = Some(tid);
+                self.thread_shadow = Some(tid);
             }
         }
         let Some(acc) = take_pending(&mut self.pending_mem, rob) else {
@@ -380,8 +360,8 @@ impl Module for Ddt {
 
     fn tick(&mut self, ctx: &mut ModuleCtx<'_>) {
         if let Some(comp) = ctx.mau.take_completion(ModuleId::DDT) {
-            if let Some((rob, tag)) = self.retrieval_in_flight {
-                if tag == comp.tag {
+            if let Some((rob, ticket)) = self.retrieval_in_flight {
+                if ticket == comp.tag {
                     self.retrieval_in_flight = None;
                     ctx.complete_check(rob, Verdict::Pass);
                 }

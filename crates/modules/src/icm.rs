@@ -126,9 +126,8 @@ struct PendingCheck {
 enum Stage {
     /// Waiting for the checked instruction to appear in `Fetch_Out`.
     Idle,
-    /// Redundant copy requested from the MAU under this tag. A squashed
-    /// CHECK's request still completes, and its `RobId` may by then
-    /// belong to another CHECK, so completions are matched by the tag.
+    /// Redundant copy requested from the MAU, awaiting the completion
+    /// with this ticket.
     MemReq(u64),
     /// Comparison scheduled; result due at the stored cycle.
     Comp { done_at: u64, error: bool },
@@ -154,8 +153,6 @@ pub struct Icm {
     layout: CheckerLayout,
     cache: LruStack,
     pending: Vec<PendingCheck>,
-    /// CheckerMemory requests issued; the next request's MAU tag.
-    mau_requests: u64,
     stats: IcmStats,
     /// Integrity seal over the CheckerMemory layout, written whenever the
     /// layout legitimately changes. The §3.4 self-test recomputes it, so
@@ -174,7 +171,6 @@ impl Icm {
             layout: CheckerLayout::default(),
             cache: LruStack::new(config.cache_entries),
             pending: Vec::new(),
-            mau_requests: 0,
             stats: IcmStats::default(),
             seal: 0,
         };
@@ -316,15 +312,12 @@ impl Module for Icm {
                 let addr = self.layout.addr_of(pc).unwrap_or(pc);
                 // Batch refill: fetch `refill_batch` consecutive words.
                 let bytes = (self.config.refill_batch as u32) * 4;
-                let tag = self.mau_requests;
-                self.mau_requests += 1;
-                ctx.mau.submit(MauRequest {
+                let ticket = ctx.mau.submit(MauRequest {
                     module: ModuleId::ICM,
                     addr,
                     op: MauOp::Load { bytes },
-                    tag,
                 });
-                self.pending[i].stage = Stage::MemReq(tag);
+                self.pending[i].stage = Stage::MemReq(ticket);
                 busy = true;
             } else {
                 // MEMREQ occupied: stay in IDLE and re-probe next cycle.

@@ -93,28 +93,35 @@ pub struct MlrStats {
     pub rerandomizations: u64,
 }
 
-#[derive(Debug)]
-enum Op {
-    /// Waiting for the header load, then computing, then storing results.
-    PiRand { rob: RobId, stage: PiStage },
-    /// GOT copy: load old → buffer → store new.
-    CopyGot { rob: RobId, loaded: bool },
-    /// PLT rewrite: load PLT → rewrite → store back.
-    WritePlt { rob: RobId, stage: PltStage },
+/// The blocking MLR operation in flight. Every operation loads its
+/// source region, may compute on it, and stores the result; a memory
+/// stage moves on only on the completion that carries its MAU ticket.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    rob: RobId,
+    kind: OpKind,
+    stage: Stage,
 }
 
-#[derive(Debug)]
-enum PiStage {
-    LoadHeader,
+#[derive(Debug, Clone, Copy)]
+enum OpKind {
+    /// `MLR_PI_RAND`: header → randomized bases → stored after the header.
+    PiRand,
+    /// `MLR_COPY_GOT`: old GOT → GOT buffer → new GOT, with no compute.
+    CopyGot,
+    /// `MLR_WRITE_PLT`: PLT → rewritten PLT buffer → PLT.
+    WritePlt,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Waiting for the source load with this ticket.
+    Load(u64),
+    /// Register-transfer work, done at the first tick at or after
+    /// `until`, never in the tick that set it.
     Compute { until: u64 },
-    StoreResults,
-}
-
-#[derive(Debug)]
-enum PltStage {
-    Load,
-    Rewrite { until: u64 },
-    Store,
+    /// Waiting for the result store with this ticket.
+    Store(u64),
 }
 
 /// The Memory Layout Randomization module.
@@ -237,6 +244,26 @@ impl Mlr {
         }
     }
 
+    /// Starts the operation `kind` for the CHECK `rob` by loading its
+    /// source region.
+    fn start(&mut self, rob: RobId, kind: OpKind, ctx: &mut ModuleCtx<'_>) {
+        let (addr, bytes) = match kind {
+            OpKind::PiRand => (self.hdr_location, (HEADER_WORDS as u32) * 4),
+            OpKind::CopyGot => (self.got_old, self.got_size),
+            OpKind::WritePlt => (self.plt_location, self.plt_size),
+        };
+        let ticket = ctx.mau.submit(MauRequest {
+            module: ModuleId::MLR,
+            addr,
+            op: MauOp::Load { bytes },
+        });
+        self.current = Some(Op {
+            rob,
+            kind,
+            stage: Stage::Load(ticket),
+        });
+    }
+
     fn rewrite_plt_buffer(&mut self) -> u64 {
         // Each PLT entry is two words: a code word and a GOT pointer.
         // Pointers into the old GOT are redirected to the new GOT.
@@ -254,6 +281,16 @@ impl Mlr {
         self.stats.plt_entries_rewritten += rewritten;
         entries as u64
     }
+}
+
+/// Submits the store of an operation's result; its stage waits on the
+/// returned ticket.
+fn store(ctx: &mut ModuleCtx<'_>, addr: u32, data: Vec<u8>) -> Stage {
+    Stage::Store(ctx.mau.submit(MauRequest {
+        module: ModuleId::MLR,
+        addr,
+        op: MauOp::Store { data },
+    }))
 }
 
 impl Module for Mlr {
@@ -295,48 +332,9 @@ impl Module for Mlr {
                 self.reseal();
                 ctx.complete_check(chk.rob, Verdict::Pass);
             }
-            ops::MLR_PI_RAND => {
-                ctx.mau_submit(MauRequest {
-                    module: ModuleId::MLR,
-                    addr: self.hdr_location,
-                    op: MauOp::Load {
-                        bytes: (HEADER_WORDS as u32) * 4,
-                    },
-                    tag: chk.rob.0,
-                });
-                self.current = Some(Op::PiRand {
-                    rob: chk.rob,
-                    stage: PiStage::LoadHeader,
-                });
-            }
-            ops::MLR_COPY_GOT => {
-                ctx.mau_submit(MauRequest {
-                    module: ModuleId::MLR,
-                    addr: self.got_old,
-                    op: MauOp::Load {
-                        bytes: self.got_size,
-                    },
-                    tag: chk.rob.0,
-                });
-                self.current = Some(Op::CopyGot {
-                    rob: chk.rob,
-                    loaded: false,
-                });
-            }
-            ops::MLR_WRITE_PLT => {
-                ctx.mau_submit(MauRequest {
-                    module: ModuleId::MLR,
-                    addr: self.plt_location,
-                    op: MauOp::Load {
-                        bytes: self.plt_size,
-                    },
-                    tag: chk.rob.0,
-                });
-                self.current = Some(Op::WritePlt {
-                    rob: chk.rob,
-                    stage: PltStage::Load,
-                });
-            }
+            ops::MLR_PI_RAND => self.start(chk.rob, OpKind::PiRand, ctx),
+            ops::MLR_COPY_GOT => self.start(chk.rob, OpKind::CopyGot, ctx),
+            ops::MLR_WRITE_PLT => self.start(chk.rob, OpKind::WritePlt, ctx),
             _ => {
                 // Unknown operation: fail the check so software notices.
                 ctx.complete_check(chk.rob, Verdict::Fail);
@@ -345,174 +343,98 @@ impl Module for Mlr {
     }
 
     fn on_squash(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
-        let owns = match &self.current {
-            Some(Op::PiRand { rob: r, .. })
-            | Some(Op::CopyGot { rob: r, .. })
-            | Some(Op::WritePlt { rob: r, .. }) => *r == rob,
-            None => false,
-        };
-        if owns {
+        if self.current.is_some_and(|op| op.rob == rob) {
             self.current = None;
         }
     }
 
     fn tick(&mut self, ctx: &mut ModuleCtx<'_>) {
         let now = ctx.now;
+        // One completion per cycle. A completion without the current
+        // stage's ticket belongs to an operation that was squashed or
+        // committed early, and is dropped.
         let completion = ctx.mau.take_completion(ModuleId::MLR);
-        let Some(op) = self.current.take() else {
+        let Some(Op { rob, kind, stage }) = self.current else {
             return;
         };
-        match op {
-            Op::PiRand { rob, stage } => match stage {
-                PiStage::LoadHeader => {
-                    if let Some(comp) = completion {
+        let stage = match stage {
+            Stage::Load(ticket) => {
+                let Some(comp) = completion.filter(|c| c.tag == ticket) else {
+                    return;
+                };
+                match kind {
+                    OpKind::PiRand => {
                         let words: Vec<u32> = comp
                             .data
                             .chunks_exact(4)
                             .map(|c| u32::from_le_bytes(c.try_into().expect("4B")))
                             .collect();
-                        match ExecHeader::from_words(&words) {
-                            Ok(h) => {
-                                self.header = Some(h);
-                                self.current = Some(Op::PiRand {
-                                    rob,
-                                    stage: PiStage::Compute {
-                                        until: now + self.config.parse_cycles,
-                                    },
-                                });
-                            }
-                            Err(_) => {
-                                // Malformed header: report an error.
-                                ctx.complete_check(rob, Verdict::Fail);
-                            }
+                        let Ok(h) = ExecHeader::from_words(&words) else {
+                            // Malformed header: report an error.
+                            self.current = None;
+                            ctx.complete_check(rob, Verdict::Fail);
+                            return;
+                        };
+                        self.header = Some(h);
+                        Stage::Compute {
+                            until: now + self.config.parse_cycles,
                         }
-                    } else {
-                        self.current = Some(Op::PiRand {
-                            rob,
-                            stage: PiStage::LoadHeader,
-                        });
                     }
-                }
-                PiStage::Compute { until } => {
-                    if now < until {
-                        self.current = Some(Op::PiRand {
-                            rob,
-                            stage: PiStage::Compute { until },
-                        });
-                        return;
-                    }
-                    let h = self.header.expect("header parsed");
-                    let bases = RandomizedBases {
-                        shared_lib: h.shared_lib_base.wrapping_add(self.next_offset(now)),
-                        stack: h.stack_base.wrapping_sub(self.next_offset(now)),
-                        heap: h.heap_base.wrapping_add(self.next_offset(now)),
-                    };
-                    self.last_bases = Some(bases);
-                    let mut data = Vec::with_capacity(12);
-                    data.extend_from_slice(&bases.shared_lib.to_le_bytes());
-                    data.extend_from_slice(&bases.stack.to_le_bytes());
-                    data.extend_from_slice(&bases.heap.to_le_bytes());
-                    ctx.mau_submit(MauRequest {
-                        module: ModuleId::MLR,
-                        addr: self.hdr_location + RandomizedBases::RESULT_OFFSET,
-                        op: MauOp::Store { data },
-                        tag: rob.0,
-                    });
-                    self.current = Some(Op::PiRand {
-                        rob,
-                        stage: PiStage::StoreResults,
-                    });
-                }
-                PiStage::StoreResults => {
-                    if completion.is_some() {
-                        self.stats.pi_randomizations += 1;
-                        ctx.complete_check(rob, Verdict::Pass);
-                    } else {
-                        self.current = Some(Op::PiRand {
-                            rob,
-                            stage: PiStage::StoreResults,
-                        });
-                    }
-                }
-            },
-            Op::CopyGot { rob, loaded } => {
-                if let Some(comp) = completion {
-                    if !loaded {
+                    OpKind::CopyGot => {
                         // "copies the GOT entries to the internal GOT
                         // buffer, and then back to the new location".
                         self.got_buffer = comp.data;
-                        ctx.mau_submit(MauRequest {
-                            module: ModuleId::MLR,
-                            addr: self.got_new,
-                            op: MauOp::Store {
-                                data: self.got_buffer.clone(),
-                            },
-                            tag: rob.0,
-                        });
-                        self.current = Some(Op::CopyGot { rob, loaded: true });
-                    } else {
-                        self.stats.got_copies += 1;
-                        ctx.complete_check(rob, Verdict::Pass);
+                        store(ctx, self.got_new, self.got_buffer.clone())
                     }
-                } else {
-                    self.current = Some(Op::CopyGot { rob, loaded });
-                }
-            }
-            Op::WritePlt { rob, stage } => match stage {
-                PltStage::Load => {
-                    if let Some(comp) = completion {
+                    OpKind::WritePlt => {
                         self.plt_buffer = comp.data;
                         let entries = self.rewrite_plt_buffer();
-                        let cycles = entries
-                            .div_ceil(self.config.plt_rewrite_parallelism as u64)
-                            .max(1);
-                        self.current = Some(Op::WritePlt {
-                            rob,
-                            stage: PltStage::Rewrite {
-                                until: now + cycles,
-                            },
-                        });
-                    } else {
-                        self.current = Some(Op::WritePlt {
-                            rob,
-                            stage: PltStage::Load,
-                        });
+                        let parallelism = self.config.plt_rewrite_parallelism as u64;
+                        Stage::Compute {
+                            until: now + entries.div_ceil(parallelism),
+                        }
                     }
                 }
-                PltStage::Rewrite { until } => {
-                    if now < until {
-                        self.current = Some(Op::WritePlt {
-                            rob,
-                            stage: PltStage::Rewrite { until },
-                        });
-                        return;
-                    }
-                    ctx.mau_submit(MauRequest {
-                        module: ModuleId::MLR,
-                        addr: self.plt_location,
-                        op: MauOp::Store {
-                            data: self.plt_buffer.clone(),
-                        },
-                        tag: rob.0,
-                    });
-                    self.current = Some(Op::WritePlt {
-                        rob,
-                        stage: PltStage::Store,
-                    });
+            }
+            Stage::Compute { until } => {
+                if now < until {
+                    return;
                 }
-                PltStage::Store => {
-                    if completion.is_some() {
-                        self.stats.plt_rewrites += 1;
-                        ctx.complete_check(rob, Verdict::Pass);
-                    } else {
-                        self.current = Some(Op::WritePlt {
-                            rob,
-                            stage: PltStage::Store,
-                        });
+                match kind {
+                    OpKind::PiRand => {
+                        let h = self.header.expect("header parsed");
+                        let bases = RandomizedBases {
+                            shared_lib: h.shared_lib_base.wrapping_add(self.next_offset(now)),
+                            stack: h.stack_base.wrapping_sub(self.next_offset(now)),
+                            heap: h.heap_base.wrapping_add(self.next_offset(now)),
+                        };
+                        self.last_bases = Some(bases);
+                        let mut data = Vec::with_capacity(12);
+                        data.extend_from_slice(&bases.shared_lib.to_le_bytes());
+                        data.extend_from_slice(&bases.stack.to_le_bytes());
+                        data.extend_from_slice(&bases.heap.to_le_bytes());
+                        let addr = self.hdr_location + RandomizedBases::RESULT_OFFSET;
+                        store(ctx, addr, data)
                     }
+                    OpKind::WritePlt => store(ctx, self.plt_location, self.plt_buffer.clone()),
+                    OpKind::CopyGot => unreachable!("a GOT copy has no compute stage"),
                 }
-            },
-        }
+            }
+            Stage::Store(ticket) => {
+                if completion.is_none_or(|c| c.tag != ticket) {
+                    return;
+                }
+                match kind {
+                    OpKind::PiRand => self.stats.pi_randomizations += 1,
+                    OpKind::CopyGot => self.stats.got_copies += 1,
+                    OpKind::WritePlt => self.stats.plt_rewrites += 1,
+                }
+                self.current = None;
+                ctx.complete_check(rob, Verdict::Pass);
+                return;
+            }
+        };
+        self.current = Some(Op { rob, kind, stage });
     }
 
     fn self_test(&mut self) -> Verdict {
@@ -557,9 +479,11 @@ mod tests {
     use super::*;
     use rse_core::{Engine, RseConfig};
     use rse_isa::asm::assemble;
-    use rse_isa::layout;
+    use rse_isa::{layout, ChkSpec, Inst};
     use rse_mem::{MemConfig, MemorySystem};
-    use rse_pipeline::{Pipeline, PipelineConfig, StepEvent};
+    use rse_pipeline::{
+        CoProcessor, CommitGate, DispatchInfo, Pipeline, PipelineConfig, StepEvent,
+    };
 
     fn mlr_pipeline_config() -> PipelineConfig {
         PipelineConfig {
@@ -710,6 +634,71 @@ mod tests {
             0x7777_8888,
             "old GOT intact"
         );
+    }
+
+    #[test]
+    fn stale_load_of_a_squashed_operation_does_not_answer_its_successor() {
+        let mut mem = MemorySystem::new(MemConfig::with_framework());
+        let hdr = layout::DATA_BASE;
+        let (got_old, got_new) = (hdr + 0x100, hdr + 0x200);
+        for i in 0..HEADER_WORDS as u32 {
+            mem.memory.write_u32(hdr + 4 * i, 0xaaaa_aaaa);
+        }
+        for i in 0..4 {
+            mem.memory.write_u32(got_old + 4 * i, 0x1111_1111);
+        }
+        let mut engine = engine_with_mlr(Some(5));
+        let chk = |rob, op, operands| DispatchInfo {
+            rob: RobId(rob),
+            pc: layout::TEXT_BASE + 4 * rob as u32,
+            word: 0,
+            inst: Inst::Chk(ChkSpec::new(ModuleId::MLR, true, op, 0)),
+            operands,
+            wrong_path: false,
+            injected: false,
+        };
+        // Latch the header and both GOT locations, and commit them.
+        let mut now = 0;
+        for (rob, op, operands) in [
+            (0, ops::MLR_EXEC_HDR, [hdr, 64]),
+            (1, ops::MLR_GOT_OLD, [got_old, 16]),
+            (2, ops::MLR_GOT_NEW, [got_new, 0]),
+        ] {
+            engine.on_dispatch(now, &chk(rob, op, operands), &mut mem);
+            while engine.commit_gate(now, RobId(rob)) != CommitGate::Pass {
+                now += 1;
+                engine.tick(now, &mut mem);
+            }
+            engine.on_commit(now, RobId(rob), &mut mem);
+        }
+        // A PI_RAND is squashed with its header load in flight, and its
+        // id goes to a COPY_GOT.
+        engine.on_dispatch(now, &chk(3, ops::MLR_PI_RAND, [0, 0]), &mut mem);
+        while engine.mau().pending() == 0 {
+            now += 1;
+            engine.tick(now, &mut mem);
+        }
+        engine.on_squash(now, RobId(3), &mut mem);
+        engine.on_dispatch(now, &chk(3, ops::MLR_COPY_GOT, [0, 0]), &mut mem);
+        let mut gate = CommitGate::Stall;
+        while gate == CommitGate::Stall && now < 2_000 {
+            now += 1;
+            engine.tick(now, &mut mem);
+            gate = engine.commit_gate(now, RobId(3));
+        }
+        // The COPY_GOT completes only once its own store has landed,
+        // and no stale transfer overwrites the copy afterwards.
+        assert_eq!(gate, CommitGate::Pass);
+        assert_eq!(mem.memory.read_u32(got_new), 0x1111_1111);
+        engine.on_commit(now, RobId(3), &mut mem);
+        for _ in 0..500 {
+            now += 1;
+            engine.tick(now, &mut mem);
+        }
+        assert_eq!(engine.mau().pending(), 0);
+        for i in 0..4 {
+            assert_eq!(mem.memory.read_u32(got_new + 4 * i), 0x1111_1111);
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ use std::fmt;
 /// When an instruction is squashed, its id goes to the next instruction
 /// dispatched in its place, as hardware reuses the ROB slot. So no state
 /// may use an id after its instruction commits or is squashed; a module
-/// that must match a reply to a request that can outlive a squash (a MAU
-/// transfer) tags it with a number of its own.
+/// matches a MAU reply, which can outlive a squash, by the ticket
+/// `Mau::submit` returned for the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RobId(pub u64);
 

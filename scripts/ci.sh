@@ -275,9 +275,12 @@ echo "== benchmark pin tests (perfbench: campaign digests, kernel cycles, fleet 
 # The benchmark's own workspace pins what its workloads compute: the
 # campaign record digests, kernel-sim's simulated cycles and the churn
 # record digests, at the default and held-out seeds. A simulator
-# speedup must leave every one of them unchanged. The traced package
-# (perfbench/traced) is built separately and is not part of this gate.
+# speedup must leave every one of them unchanged.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# The traced per-layer run (perfbench/traced) calls into the crates
+# directly, so an API change can break it; building the package above
+# does not compile it. It builds into perfbench's own target directory.
+cargo build --release --offline --manifest-path perfbench/traced/Cargo.toml
 
 echo "== tier 3: bounded model checking (rse-mc)"
 # Four theorem binaries drive the REAL production types (ModuleHealth,
