@@ -269,9 +269,9 @@ fn trial_seed(base_seed: u64, period: u64, trial: u32) -> u64 {
     splitmix64(&mut s)
 }
 
-/// [`trial_seed`] with the victim kind folded in, so every victim of
-/// the corpus study draws an independent attack schedule from the same
-/// base seed. Pure and stable.
+/// The per-trial seed (`trial_seed`) with the victim kind folded in,
+/// so every victim of the corpus study draws an independent attack
+/// schedule from the same base seed. Pure and stable.
 pub fn corpus_trial_seed(base_seed: u64, kind: &str, period: u64, trial: u32) -> u64 {
     trial_seed(base_seed ^ fnv1a64(kind.as_bytes()), period, trial)
 }

@@ -94,10 +94,7 @@ fn mlr_parallelism_sweep() {
     println!("{}", row(&["Adders", "Cycles"], &w));
     for adders in [1u32, 2, 4, 8, 16] {
         let mut cpu = Pipeline::new(
-            PipelineConfig {
-                chk_serialize_mask: 1 << ModuleId::MLR.number(),
-                ..PipelineConfig::default()
-            },
+            PipelineConfig::default(),
             MemorySystem::new(MemConfig::with_framework()),
         );
         cpu.load_image(&image);

@@ -137,9 +137,6 @@ fn main() -> ExitCode {
     if opts.check_control_flow {
         pipe.check_policy = CheckPolicy::ControlFlow;
     }
-    if opts.mlr {
-        pipe.chk_serialize_mask |= 1 << ModuleId::MLR.number();
-    }
     let mut cpu = Pipeline::new(pipe, MemorySystem::new(mem));
     rse_sys::loader::load_process(&mut cpu, &image);
     cpu.set_fetch_fault(opts.fault);

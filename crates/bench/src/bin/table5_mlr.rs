@@ -36,10 +36,7 @@ fn run_trr(p: &MlrBenchParams) -> (u64, u64) {
 fn run_rse(p: &MlrBenchParams) -> (u64, u64) {
     let image = assemble_or_die(&rse_source(p));
     let mut cpu = Pipeline::new(
-        PipelineConfig {
-            chk_serialize_mask: 1 << ModuleId::MLR.number(),
-            ..PipelineConfig::default()
-        },
+        PipelineConfig::default(),
         MemorySystem::new(MemConfig::with_framework()),
     );
     cpu.load_image(&image);
@@ -89,10 +86,7 @@ fn pi_penalty() -> u64 {
     let run = |src: &str| -> u64 {
         let image = assemble_or_die(src);
         let mut cpu = Pipeline::new(
-            PipelineConfig {
-                chk_serialize_mask: 1 << ModuleId::MLR.number(),
-                ..PipelineConfig::default()
-            },
+            PipelineConfig::default(),
             MemorySystem::new(MemConfig::with_framework()),
         );
         cpu.load_image(&image);

@@ -1,6 +1,7 @@
-//! `simrun`'s exit status and flag errors, driven through the built
-//! binary: a failing guest never exits 0, and a malformed flag value is
-//! named on stderr.
+//! `simrun`'s exit status, flag errors and guest output, driven through
+//! the built binary: a failing guest never exits 0, a malformed flag
+//! value is named on stderr, and a module's memory writes are visible to
+//! the guest instructions that follow its CHECK.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -60,4 +61,37 @@ fn malformed_flag_values_name_the_flag() {
     }
     assert_eq!(simrun(&[path]).status.code(), Some(0));
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn load_after_blocking_ddt_retrieval_reads_the_retrieved_word() {
+    // A blocking DDT_RETRIEVE drains dispatch, so the load right after
+    // it reads the buffer only once the module's store has landed: the
+    // serialized DDM's first word, N = 64, both times.
+    let path = program(
+        "ddt_retrieve",
+        r#"
+        main:   la   r4, outbuf
+                chk  ddt, blk, 4, 0
+                lw   r4, 0(r4)
+                li   r2, 2
+                syscall
+                nop
+                nop
+                nop
+                nop
+                la   r4, outbuf
+                lw   r4, 0(r4)
+                li   r2, 2
+                syscall
+                halt
+                .data
+                .align 4
+        outbuf: .space 1024
+        "#,
+    );
+    let out = simrun(&[path.to_str().unwrap(), "--ddt"]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "64\n64\n");
+    assert_eq!(out.status.code(), Some(0));
 }

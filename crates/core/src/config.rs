@@ -2,6 +2,14 @@
 
 use crate::watchdog::WatchdogConfig;
 
+/// Delay, in cycles, between dispatch and a module observing the CHECK
+/// in the `Fetch_Out` queue (the scan delay of Table 3).
+pub(crate) const FETCH_SCAN_DELAY: u64 = 1;
+
+/// Delay, in cycles, between a module writing its result and the commit
+/// unit observing it (the module→IOQ broadcast of Table 3).
+pub(crate) const IOQ_BROADCAST_DELAY: u64 = 1;
+
 /// Configuration of the RSE framework.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RseConfig {
@@ -14,13 +22,6 @@ pub struct RseConfig {
     pub entry_bits: u32,
     /// Self-checking watchdog parameters (§3.4).
     pub watchdog: WatchdogConfig,
-    /// Extra delay, in cycles, between a module writing its result and
-    /// the commit unit observing it (the module→IOQ broadcast of Table 3:
-    /// 1 cycle).
-    pub ioq_broadcast_delay: u64,
-    /// Delay between dispatch and a module observing the CHECK in the
-    /// `Fetch_Out` queue (the scan delay of Table 3: 1 cycle).
-    pub fetch_scan_delay: u64,
 }
 
 impl Default for RseConfig {
@@ -29,8 +30,6 @@ impl Default for RseConfig {
             queue_entries: 16,
             entry_bits: 32,
             watchdog: WatchdogConfig::default(),
-            ioq_broadcast_delay: 1,
-            fetch_scan_delay: 1,
         }
     }
 }
@@ -44,7 +43,5 @@ mod tests {
         let c = RseConfig::default();
         assert_eq!(c.queue_entries, 16);
         assert_eq!(c.entry_bits, 32);
-        assert_eq!(c.ioq_broadcast_delay, 1);
-        assert_eq!(c.fetch_scan_delay, 1);
     }
 }

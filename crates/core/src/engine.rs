@@ -1,7 +1,7 @@
 //! The engine: module host, input interface, IOQ, MAU and watchdog,
 //! assembled behind the pipeline's [`CoProcessor`] taps.
 
-use crate::config::RseConfig;
+use crate::config::{RseConfig, FETCH_SCAN_DELAY};
 use crate::health::HealthState;
 use crate::ioq::{FetchOutEntry, Ioq, IoqEntry, IoqEntryKind, IoqFault};
 use crate::mau::Mau;
@@ -134,10 +134,13 @@ pub struct Engine {
     slots: Vec<Option<Box<dyn Module>>>,
     /// Bit `i` set: slot `i` holds a module.
     installed: u16,
-    /// Bit `i` set: slot `i` is enabled. When no bit is set no module
-    /// receives a tap, `tick` does nothing and the commit gate holds at
-    /// constant `10` (a blocking CHECK whose module a later DISABLE
-    /// switched off has nothing left to complete it).
+    /// Bit `i` set: slot `i` is enabled. An ENABLE/DISABLE CHECK sets or
+    /// clears its bit when it commits; it serializes dispatch, so every
+    /// CHECK in flight was dispatched under the bits it commits under.
+    /// When no bit is set no module receives a tap, `tick` does nothing
+    /// and the commit gate holds at constant `10` (only a host-side
+    /// [`Engine::disable`] can switch a module off under one of its
+    /// CHECKs, and then nothing is left to complete it).
     enabled: u16,
     pending_chk: VecDeque<PendingChk>,
     /// Scheduled IOQ writes: (visible_at, rob, error).
@@ -367,22 +370,8 @@ impl Engine {
                 ioq: &self.ioq,
                 ioq_writes: &mut self.pending_ioq,
                 exceptions: &mut self.exceptions,
-                broadcast_delay: self.config.ioq_broadcast_delay,
             };
             f(module, &mut ctx);
-        }
-    }
-
-    /// Applies enable/disable requests at dispatch (program order); the
-    /// commit-time application in `on_commit` is then idempotent.
-    fn apply_enable_at_dispatch(&mut self, spec: &ChkSpec, wrong_path: bool) {
-        if wrong_path {
-            return;
-        }
-        match spec.op {
-            ops::ENABLE => self.enable(spec.module),
-            ops::DISABLE => self.disable(spec.module),
-            _ => {}
         }
     }
 
@@ -493,10 +482,6 @@ impl CoProcessor for Engine {
         let mut muxed = false;
         if let Inst::Chk(spec) = info.inst {
             self.stats.chk_dispatched += 1;
-            // Enable/disable takes effect at in-order dispatch, so a
-            // CHECK that follows an ENABLE in program order is routed to
-            // the (now live) module. Wrong-path requests are ignored.
-            self.apply_enable_at_dispatch(&spec, info.wrong_path);
             let routed = self.routed_to_module(&spec);
             muxed = routed && self.watchdog.module_down(spec.module);
             if routed && !muxed {
@@ -531,11 +516,11 @@ impl CoProcessor for Engine {
                     // the loss is between the scan and the module, so the
                     // check is silently skipped without stalling commit.
                     self.pending_ioq
-                        .push((now + self.config.fetch_scan_delay, info.rob, false));
+                        .push((now + FETCH_SCAN_DELAY, info.rob, false));
                 }
                 if !dropped {
                     self.pending_chk.push_back(PendingChk {
-                        deliver_at: now + self.config.fetch_scan_delay,
+                        deliver_at: now + FETCH_SCAN_DELAY,
                         chk: ChkDispatch {
                             rob: info.rob,
                             pc: info.pc,
@@ -599,7 +584,9 @@ impl CoProcessor for Engine {
             self.for_each_module(mask, now, mem, true, |m, ctx| m.on_chk(&p.chk, ctx));
         }
         if let Some(e) = self.ioq.entry(rob).copied() {
-            // Enable/disable becomes architectural at commit.
+            // The enable/disable unit switches a module when the request
+            // commits: the request serializes dispatch, so everything
+            // older has committed and nothing younger has dispatched.
             if let Inst::Chk(spec) = e.fetched.inst {
                 match spec.op {
                     ops::ENABLE => {
@@ -643,7 +630,8 @@ impl CoProcessor for Engine {
         self.pending_ioq.retain(|(_, r, _)| *r != rob);
         // The id goes to the next instruction dispatched in this one's
         // place, so every installed module drops its state for it, also
-        // one a DISABLE switched off while the instruction was in flight.
+        // one a host-side `Engine::disable` switched off while the
+        // instruction was in flight.
         if self.installed != 0 {
             self.for_each_module(self.installed, now, mem, false, |m, ctx| {
                 m.on_squash(rob, ctx)
@@ -654,6 +642,7 @@ impl CoProcessor for Engine {
 
     fn commit_gate(&mut self, now: u64, rob: RobId) -> CommitGate {
         if !self.any_enabled() {
+            // No module is left to complete a CHECK: constant `10`.
             return CommitGate::Pass;
         }
         if self.watchdog.is_decoupled() {
@@ -1094,11 +1083,11 @@ mod tests {
 
     #[test]
     fn disable_then_reenable_leaves_no_stale_entries() {
-        // The DISABLE turns the last module off at dispatch, while the
-        // loop's tail is still in flight: those instructions commit with
-        // no module enabled, which must still free their IOQ entries.
-        // Otherwise they accumulate across disable/enable rounds until
-        // the IOQ overflows.
+        // The DISABLE drains dispatch and turns the last module off when
+        // it commits; the instructions after it then dispatch and commit
+        // with no module enabled, which must still free their IOQ
+        // entries. Otherwise they accumulate across disable/enable rounds
+        // until the IOQ overflows.
         let mut engine = Engine::new(RseConfig::default());
         engine.install(Box::new(IdleModule));
         let cpu = run(

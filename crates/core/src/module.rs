@@ -8,6 +8,7 @@
 //! and delivers [`Module::on_chk`]; the memory buffer is whatever state
 //! the module keeps, filled through the MAU.
 
+use crate::config::IOQ_BROADCAST_DELAY;
 use crate::ioq::Ioq;
 use crate::mau::Mau;
 use rse_isa::{ChkSpec, ModuleId};
@@ -65,7 +66,6 @@ pub struct ModuleCtx<'a> {
     pub ioq: &'a Ioq,
     pub(crate) ioq_writes: &'a mut Vec<(u64, RobId, bool)>,
     pub(crate) exceptions: &'a mut VecDeque<CoprocException>,
-    pub(crate) broadcast_delay: u64,
 }
 
 impl ModuleCtx<'_> {
@@ -73,7 +73,7 @@ impl ModuleCtx<'_> {
     /// visible to the commit unit after the module→IOQ broadcast delay
     /// (1 cycle, Table 3).
     pub fn complete_check(&mut self, rob: RobId, verdict: Verdict) {
-        let at = self.now + self.broadcast_delay;
+        let at = self.now + IOQ_BROADCAST_DELAY;
         self.ioq_writes.push((at, rob, verdict == Verdict::Fail));
     }
 

@@ -109,26 +109,66 @@ impl std::fmt::Display for SafeModeCause {
     }
 }
 
+/// The symptom counters of one source of IOQ output: a module slot, or
+/// the shared wires.
+#[derive(Debug, Default)]
+struct Symptoms {
+    /// Flush timestamps within the burst window.
+    flushes: VecDeque<u64>,
+    /// Premature passes since the last reset.
+    prematures: usize,
+}
+
+impl Symptoms {
+    /// Records a flush at `now`. Returns whether `burst_threshold`
+    /// flushes now fall within one timeout window; the window then
+    /// starts over.
+    fn flush_burst(&mut self, now: u64, config: &WatchdogConfig) -> bool {
+        let window_start = now.saturating_sub(config.timeout);
+        self.flushes.push_back(now);
+        while self.flushes.front().is_some_and(|t| *t < window_start) {
+            self.flushes.pop_front();
+        }
+        let burst = self.flushes.len() >= config.burst_threshold;
+        if burst {
+            self.flushes.clear();
+        }
+        burst
+    }
+
+    /// Records a premature pass. Returns whether the count reached
+    /// `premature_pass_threshold`; the count then starts over.
+    fn premature_stuck(&mut self, config: &WatchdogConfig) -> bool {
+        self.prematures += 1;
+        let stuck = self.prematures >= config.premature_pass_threshold;
+        if stuck {
+            self.prematures = 0;
+        }
+        stuck
+    }
+
+    fn clear(&mut self) {
+        self.flushes.clear();
+        self.prematures = 0;
+    }
+}
+
 /// The self-checking watchdog: per-module anomaly accounting feeding the
 /// containment state machines, plus the legacy global decoupling switch.
 #[derive(Debug)]
 pub struct Watchdog {
     config: WatchdogConfig,
     safe_mode: Option<SafeModeCause>,
-    /// Unattributed flush timestamps (symptoms on shared wires, e.g. a
-    /// `check` stuck at 1 observed on non-CHECK entries). These trip
-    /// global safe mode directly.
-    flush_times: VecDeque<u64>,
-    /// Unattributed premature passes.
-    premature_passes: usize,
+    /// Unattributed symptoms (on shared wires, e.g. a `check` stuck at 1
+    /// observed on non-CHECK entries). These trip global safe mode
+    /// directly.
+    shared: Symptoms,
     /// Per-slot containment state machines.
     health: [ModuleHealth; ModuleId::SLOTS],
     /// Which slots have a module installed (the escalation denominator).
     installed: [bool; ModuleId::SLOTS],
-    /// Per-module flush timestamps within the burst window.
-    module_flushes: [VecDeque<u64>; ModuleId::SLOTS],
-    /// Per-module premature-pass counters.
-    module_prematures: [usize; ModuleId::SLOTS],
+    /// Per-slot symptoms, charged to the slot's state machine.
+    symptoms: [Symptoms; ModuleId::SLOTS],
     /// The most recent timed-out CHECK per module (carried into the
     /// `NoProgress` cause on escalation).
     last_timeout_rob: [Option<RobId>; ModuleId::SLOTS],
@@ -148,12 +188,10 @@ impl Watchdog {
         Watchdog {
             config,
             safe_mode: None,
-            flush_times: VecDeque::new(),
-            premature_passes: 0,
+            shared: Symptoms::default(),
             health: [ModuleHealth::new(); ModuleId::SLOTS],
             installed: [false; ModuleId::SLOTS],
-            module_flushes: std::array::from_fn(|_| VecDeque::new()),
-            module_prematures: [0; ModuleId::SLOTS],
+            symptoms: std::array::from_fn(|_| Symptoms::default()),
             last_timeout_rob: [None; ModuleId::SLOTS],
             hang_fired: false,
             trips: 0,
@@ -229,25 +267,13 @@ impl Watchdog {
     pub fn record_flush(&mut self, now: u64, src: Option<ModuleId>) {
         match src {
             Some(id) if !self.module_down(id) => {
-                let window_start = now.saturating_sub(self.config.timeout);
-                let window = &mut self.module_flushes[id.index()];
-                window.push_back(now);
-                while window.front().is_some_and(|t| *t < window_start) {
-                    window.pop_front();
-                }
-                if window.len() >= self.config.burst_threshold {
-                    window.clear();
+                if self.symptoms[id.index()].flush_burst(now, &self.config) {
                     self.anomaly(id, now, AnomalyKind::ErrorBurst);
                 }
             }
             Some(_) => {} // already muxed out; racing report ignored
             None => {
-                self.flush_times.push_back(now);
-                let window_start = now.saturating_sub(self.config.timeout);
-                while self.flush_times.front().is_some_and(|t| *t < window_start) {
-                    self.flush_times.pop_front();
-                }
-                if self.flush_times.len() >= self.config.burst_threshold {
+                if self.shared.flush_burst(now, &self.config) {
                     self.trip(SafeModeCause::ErrorBurst);
                 }
             }
@@ -260,16 +286,13 @@ impl Watchdog {
     pub fn record_premature_pass(&mut self, now: u64, src: Option<ModuleId>) {
         match src {
             Some(id) if !self.module_down(id) => {
-                self.module_prematures[id.index()] += 1;
-                if self.module_prematures[id.index()] >= self.config.premature_pass_threshold {
-                    self.module_prematures[id.index()] = 0;
+                if self.symptoms[id.index()].premature_stuck(&self.config) {
                     self.anomaly(id, now, AnomalyKind::PrematurePass);
                 }
             }
             Some(_) => {}
             None => {
-                self.premature_passes += 1;
-                if self.premature_passes >= self.config.premature_pass_threshold {
+                if self.shared.premature_stuck(&self.config) {
                     self.trip(SafeModeCause::PrematurePass);
                 }
             }
@@ -281,8 +304,7 @@ impl Watchdog {
     /// premature-pass counter, so sporadic symptoms interleaved with
     /// healthy behavior do not accumulate across the whole run.
     pub fn record_clean_commit(&mut self, _now: u64, id: ModuleId) {
-        self.module_flushes[id.index()].clear();
-        self.module_prematures[id.index()] = 0;
+        self.symptoms[id.index()].clear();
     }
 
     /// Whether a quarantined module's next self-test probe may launch.
@@ -303,8 +325,7 @@ impl Watchdog {
         debug_assert!(crate::health::legal_edge(from, to));
         // A fresh start: past symptoms do not count against the healed
         // module.
-        self.module_flushes[id.index()].clear();
-        self.module_prematures[id.index()] = 0;
+        self.symptoms[id.index()].clear();
     }
 
     /// A self-test probe for `id` failed (wrong verdict or probe

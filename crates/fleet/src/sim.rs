@@ -4,11 +4,12 @@
 //! One [`FleetSim`] instance runs one fleet to completion. Every node
 //! advances its guests by one quantum per tick, exchanges messages over
 //! the lossy [`crate::Network`], and drives its remote-peer
-//! [`PeerMonitor`]. The simulator itself is the omniscient observer: it
-//! tracks ground-truth workload ownership and fault state, so it can
-//! classify split-brain (two nodes executing the same workload outside
-//! the fencing grace window) and false suspicion (a Dead declaration
-//! not justified by any injected fault) exactly.
+//! [`PeerMonitor`](rse_modules::PeerMonitor). The simulator itself is
+//! the omniscient observer: it tracks ground-truth workload ownership
+//! and fault state, so it can classify split-brain (two nodes executing
+//! the same workload outside the fencing grace window) and false
+//! suspicion (a Dead declaration not justified by any injected fault)
+//! exactly.
 //!
 //! # The failover + fencing protocol
 //!
@@ -16,8 +17,9 @@
 //!   (plus an idle daemon beat when the guest is quiet), and replicates
 //!   an [`ArchSnapshot`] of its own workload every `snapshot_every`
 //!   safe points.
-//! * The per-node [`PeerMonitor`] escalates a quiet peer Alive →
-//!   Suspect → (probes with exponential backoff) → Dead.
+//! * The per-node [`PeerMonitor`](rse_modules::PeerMonitor) escalates
+//!   a quiet peer Alive → Suspect → (probes with exponential backoff) →
+//!   Dead.
 //! * The *recovery coordinator* — the lowest-id unfenced node that
 //!   believes every lower id Dead — reacts to a Dead declaration by
 //!   bumping the workload's fencing epoch, adopting the newest

@@ -187,10 +187,7 @@ pub fn build_harness_seeded(
         }
         Harness::MlrOs => {
             let mut cpu = Pipeline::new(
-                PipelineConfig {
-                    chk_serialize_mask: 1 << ModuleId::MLR.number(),
-                    ..PipelineConfig::default()
-                },
+                PipelineConfig::default(),
                 MemorySystem::new(MemConfig::with_framework()),
             );
             loader::load_process(&mut cpu, image);
@@ -211,15 +208,11 @@ pub fn build_harness_seeded(
             BuiltHarness { cpu, engine }
         }
         Harness::OsBare => {
+            // The undefended twin of `MlrOs`: with no MLR installed the
+            // blocking `chk mlr` ops pass straight through and the
+            // result words stay zero.
             let mut cpu = Pipeline::new(
-                PipelineConfig {
-                    // Same pipeline shape as `MlrOs` so the undefended
-                    // twin differs only in the installed modules; with no
-                    // MLR the blocking `chk mlr` ops pass straight
-                    // through and the result words stay zero.
-                    chk_serialize_mask: 1 << ModuleId::MLR.number(),
-                    ..PipelineConfig::default()
-                },
+                PipelineConfig::default(),
                 MemorySystem::new(MemConfig::with_framework()),
             );
             loader::load_process(&mut cpu, image);

@@ -191,14 +191,17 @@ impl ChkSpec {
         ChkSpec::new(module, false, op, param)
     }
 
-    /// The enable request for a module (common op 0).
-    pub fn enable(module: ModuleId) -> ChkSpec {
-        ChkSpec::new(module, false, ops::ENABLE, 0)
-    }
-
-    /// The disable request for a module (common op 1).
-    pub fn disable(module: ModuleId) -> ChkSpec {
-        ChkSpec::new(module, false, ops::DISABLE, 0)
+    /// Whether this CHECK serializes dispatch: no younger instruction
+    /// dispatches until it retires.
+    ///
+    /// True for ENABLE/DISABLE of any module, so the enable/disable unit
+    /// switches a module at commit with nothing younger in flight, and
+    /// for a blocking CHECK of the MLR or the DDT, whose operations write
+    /// memory the next instructions read (the Figure 3 handshake, the
+    /// DDT retrieval ops).
+    pub fn serializes(&self) -> bool {
+        matches!(self.op, ops::ENABLE | ops::DISABLE)
+            || (self.blocking && matches!(self.module, ModuleId::MLR | ModuleId::DDT))
     }
 }
 
@@ -249,8 +252,15 @@ mod tests {
     }
 
     #[test]
-    fn enable_disable_are_non_blocking() {
-        assert!(!ChkSpec::enable(ModuleId::DDT).blocking);
-        assert_eq!(ChkSpec::disable(ModuleId::DDT).op, ops::DISABLE);
+    fn enable_disable_and_blocking_mlr_ddt_checks_serialize() {
+        for m in [ModuleId::ICM, ModuleId::DDT, ModuleId::new(9)] {
+            assert!(ChkSpec::non_blocking(m, ops::ENABLE, 0).serializes());
+            assert!(ChkSpec::non_blocking(m, ops::DISABLE, 0).serializes());
+        }
+        assert!(ChkSpec::blocking(ModuleId::MLR, ops::MLR_PI_RAND, 0).serializes());
+        assert!(ChkSpec::blocking(ModuleId::DDT, ops::DDT_RETRIEVE, 0).serializes());
+        assert!(!ChkSpec::non_blocking(ModuleId::DDT, ops::DDT_SET_THREAD, 1).serializes());
+        assert!(!ChkSpec::blocking(ModuleId::ICM, ops::ICM_CHECK_NEXT, 0).serializes());
+        assert!(!ChkSpec::blocking(ModuleId::AHBM, ops::AHBM_BEAT, 0).serializes());
     }
 }

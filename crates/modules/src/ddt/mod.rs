@@ -410,7 +410,7 @@ impl Module for Ddt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rse_core::{Engine, RseConfig};
+    use rse_core::{Engine, HealthState, RseConfig};
     use rse_isa::asm::assemble;
     use rse_isa::layout::DATA_BASE;
     use rse_isa::{ChkSpec, Inst};
@@ -434,6 +434,10 @@ mod tests {
     }
 
     fn run_with_ddt(src: &str) -> (Pipeline, Engine, Vec<rse_pipeline::CoprocException>) {
+        run_with(Ddt::new(DdtConfig::default()), src)
+    }
+
+    fn run_with(ddt: Ddt, src: &str) -> (Pipeline, Engine, Vec<rse_pipeline::CoprocException>) {
         let image = assemble(src).expect("assembles");
         let mut cpu = Pipeline::new(
             PipelineConfig::default(),
@@ -441,7 +445,7 @@ mod tests {
         );
         cpu.load_image(&image);
         let mut engine = Engine::new(RseConfig::default());
-        engine.install(Box::new(Ddt::new(DdtConfig::default())));
+        engine.install(Box::new(ddt));
         engine.enable(ModuleId::DDT);
         let mut exceptions = Vec::new();
         loop {
@@ -644,5 +648,54 @@ mod tests {
             cpu.mem().memory.read_u32(outbuf),
             DdtConfig::default().max_threads as u32
         );
+    }
+
+    #[test]
+    fn back_to_back_blocking_retrievals_both_complete() {
+        // The first retrieval drains dispatch, so the second cannot take
+        // the module's one retrieval slot while the first is in flight,
+        // and the loads after them read both buffers once written.
+        let src = r#"
+        main:   la   r4, buf1
+                chk  ddt, blk, 4, 0      # DDT_RETRIEVE
+                la   r4, buf2
+                chk  ddt, blk, 4, 0      # DDT_RETRIEVE
+                la   r8, buf1
+                lw   r10, 0(r8)
+                la   r8, buf2
+                lw   r11, 0(r8)
+                halt
+                .data
+                .align 4
+        buf1:   .space 1024
+        buf2:   .space 1024
+        "#;
+        let (cpu, engine, _) = run_with_ddt(src);
+        let n = DdtConfig::default().max_threads as u32;
+        assert_eq!((cpu.regs()[10], cpu.regs()[11]), (n, n));
+        assert_eq!(engine.module_health(ModuleId::DDT), HealthState::Healthy);
+        assert_eq!(engine.stats().chk_nop_committed, 0);
+    }
+
+    #[test]
+    fn disable_reaches_the_ddt_after_its_older_stores() {
+        // The DISABLE switches the DDT off when it commits, after both
+        // older stores have committed through the module.
+        let src = r#"
+        main:   la   r8, buf
+                li   r9, 5
+                sw   r9, 0(r8)
+                sw   r9, 4(r8)
+                chk  ddt, nblk, 1, 0     # DISABLE
+                halt
+                .data
+        buf:    .space 32
+        "#;
+        let mut ddt = Ddt::new(DdtConfig::default());
+        ddt.set_current_thread(0);
+        let (_cpu, engine, _) = run_with(ddt, src);
+        let ddt: &Ddt = engine.module_ref(ModuleId::DDT).unwrap();
+        assert_eq!(ddt.stats().stores_tracked, 2);
+        assert!(!engine.is_enabled(ModuleId::DDT));
     }
 }

@@ -485,13 +485,6 @@ mod tests {
         CoProcessor, CommitGate, DispatchInfo, Pipeline, PipelineConfig, StepEvent,
     };
 
-    fn mlr_pipeline_config() -> PipelineConfig {
-        PipelineConfig {
-            chk_serialize_mask: 1 << ModuleId::MLR.number(),
-            ..PipelineConfig::default()
-        }
-    }
-
     fn engine_with_mlr(seed: Option<u64>) -> Engine {
         let mut engine = Engine::new(RseConfig::default());
         engine.install(Box::new(Mlr::new(MlrConfig {
@@ -531,7 +524,7 @@ mod tests {
     fn run_pi(seed: Option<u64>) -> (Pipeline, Engine) {
         let image = assemble(PI_SRC).expect("assembles");
         let mut cpu = Pipeline::new(
-            mlr_pipeline_config(),
+            PipelineConfig::default(),
             MemorySystem::new(MemConfig::with_framework()),
         );
         cpu.load_image(&image);
@@ -610,7 +603,7 @@ mod tests {
         let got_old = image.symbol("got_old").unwrap();
         let got_new = image.symbol("got_new").unwrap();
         let mut cpu = Pipeline::new(
-            mlr_pipeline_config(),
+            PipelineConfig::default(),
             MemorySystem::new(MemConfig::with_framework()),
         );
         cpu.load_image(&image);
@@ -720,7 +713,7 @@ mod tests {
         "#;
         let image = assemble(src).unwrap();
         let mut cpu = Pipeline::new(
-            mlr_pipeline_config(),
+            PipelineConfig::default(),
             MemorySystem::new(MemConfig::with_framework()),
         );
         cpu.load_image(&image);

@@ -42,6 +42,10 @@ impl CheckPolicy {
 /// Defaults are the paper's Figure 1 table: 4-instruction fetch and
 /// dispatch width, 4-instruction issue width, 16-entry RUU (reorder
 /// buffer) and 8-entry LSQ.
+///
+/// Which CHECKs serialize dispatch is not a parameter: it is a property
+/// of the CHECK itself ([`ChkSpec::serializes`]), like the serialization
+/// of a syscall or a `halt`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Instructions fetched per cycle.
@@ -68,13 +72,6 @@ pub struct PipelineConfig {
     pub div_latency: u64,
     /// Runtime CHECK-insertion policy.
     pub check_policy: CheckPolicy,
-    /// Bitmask of module slots whose *blocking* CHECK instructions
-    /// serialize dispatch (like a memory barrier). Needed for modules
-    /// whose CHECK produces results in memory that the very next
-    /// instructions consume (the MLR handshake of Figure 3, the DDT
-    /// retrieval ops) — an out-of-order pipeline would otherwise read the
-    /// locations before the module writes them.
-    pub chk_serialize_mask: u16,
 }
 
 impl Default for PipelineConfig {
@@ -92,7 +89,6 @@ impl Default for PipelineConfig {
             mul_latency: 3,
             div_latency: 20,
             check_policy: CheckPolicy::None,
-            chk_serialize_mask: 0,
         }
     }
 }

@@ -233,6 +233,8 @@ pub struct Pipeline {
     issue_buf: Vec<(usize, u64)>,
     now: u64,
     wrong_path_mode: bool,
+    /// A correct-path syscall, `halt` or serializing CHECK is in flight:
+    /// nothing younger dispatches until it retires.
     serialize: bool,
     pending_ifetch: Option<(u32, u64)>,
     chk_injected_for: Option<u32>,
@@ -600,9 +602,7 @@ impl Pipeline {
             InstClass::Branch | InstClass::Jump => self.stats.control_flow_committed += 1,
             InstClass::Chk => {
                 if let Inst::Chk(spec) = entry.inst {
-                    if spec.blocking
-                        && self.config.chk_serialize_mask & (1 << spec.module.number()) != 0
-                    {
+                    if spec.serializes() {
                         // The serializing CHECK has retired; dispatch may
                         // proceed.
                         self.serialize = false;
@@ -875,9 +875,7 @@ impl Pipeline {
                     break;
                 }
                 if let Inst::Chk(spec) = info.inst {
-                    if spec.blocking
-                        && self.config.chk_serialize_mask & (1 << spec.module.number()) != 0
-                    {
+                    if spec.serializes() {
                         self.serialize = true;
                         break;
                     }

@@ -16,7 +16,7 @@
 //!   (replaces `proptest`; the macro and strategy surface is shaped so
 //!   existing tests ported mechanically).
 //!
-//! [`bench`] re-exports `std::hint::black_box` for code that times work.
+//! [`bench`](mod@bench) re-exports `std::hint::black_box` for code that times work.
 //!
 //! Test files normally start with `use rse_support::prelude::*;`.
 

@@ -187,7 +187,7 @@ impl_tuple_strategy!(A, B, C, D, E, F);
 pub mod collection {
     use super::*;
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         elem: S,
         len: Range<usize>,

@@ -162,10 +162,7 @@ mod tests {
     fn run_rse(p: &MlrBenchParams) -> (Pipeline, rse_isa::Image) {
         let image = assemble(&rse_source(p)).expect("rse assembles");
         let mut cpu = Pipeline::new(
-            PipelineConfig {
-                chk_serialize_mask: 1 << ModuleId::MLR.number(),
-                ..PipelineConfig::default()
-            },
+            PipelineConfig::default(),
             MemorySystem::new(MemConfig::with_framework()),
         );
         cpu.load_image(&image);

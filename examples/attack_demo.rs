@@ -62,10 +62,7 @@ const SRC: &str = r#"
 fn run(with_mlr: bool) -> (i32, u32) {
     let image = assemble(SRC).expect("assembles");
     let mut cpu = Pipeline::new(
-        PipelineConfig {
-            chk_serialize_mask: 1 << ModuleId::MLR.number(),
-            ..PipelineConfig::default()
-        },
+        PipelineConfig::default(),
         MemorySystem::new(MemConfig::with_framework()),
     );
     loader::load_process(&mut cpu, &image);

@@ -37,10 +37,7 @@ const LOADER_STUB: &str = r#"
 fn load_once(run: u32) -> (u32, u32, u32) {
     let image = assemble(LOADER_STUB).expect("stub assembles");
     let mut cpu = Pipeline::new(
-        PipelineConfig {
-            chk_serialize_mask: 1 << ModuleId::MLR.number(),
-            ..PipelineConfig::default()
-        },
+        PipelineConfig::default(),
         MemorySystem::new(MemConfig::with_framework()),
     );
     // The loader writes the program and its special header into memory.

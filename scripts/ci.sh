@@ -19,6 +19,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc --workspace --no-deps --offline (warnings as errors)"
+# A broken or ambiguous intra-doc link (e.g. to an item a change
+# deleted) fails the build here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release --offline"
 cargo build --release --offline
 

@@ -146,11 +146,10 @@ fn check_line() -> impl Strategy<Value = String> {
 /// Runs `image` under the guest OS for [`BUDGET`] cycles on the machine
 /// `simrun --framework --icm --mlr --ddt --ahbm` builds.
 fn run_with_every_module(image: &Image) {
-    let pipe = PipelineConfig {
-        chk_serialize_mask: 1 << ModuleId::MLR.number(),
-        ..PipelineConfig::default()
-    };
-    let mut cpu = Pipeline::new(pipe, MemorySystem::new(MemConfig::with_framework()));
+    let mut cpu = Pipeline::new(
+        PipelineConfig::default(),
+        MemorySystem::new(MemConfig::with_framework()),
+    );
     loader::load_process(&mut cpu, image);
     let mut engine = Engine::new(RseConfig::default());
     let mut icm = Icm::new(IcmConfig::default());

@@ -23,27 +23,30 @@ const TWO_MODULE_SRC: &str = r#"
             halt
 "#;
 
-/// A longer single-module loop for the re-enable scenario: the run must
-/// outlive quarantine entry, the failed early probes, and the healing
-/// probe.
-const LONG_LOOP_SRC: &str = r#"
+/// A longer single-module loop of `iterations` ICM CHECKs for the
+/// re-enable and disable scenarios: the run must outlive quarantine
+/// entry and the probes that follow it.
+fn long_loop(iterations: u32) -> String {
+    format!(
+        r#"
     main:   li   r8, 0
-            li   r9, 2000
+            li   r9, {iterations}
     loop:   chk  icm, blk, 2, 0
             addi r8, r8, 1
             bne  r8, r9, loop
             halt
-"#;
+"#
+    )
+}
 
 fn harness(src: &str, config: RseConfig, modules: Vec<ScriptedModule>) -> (Pipeline, Engine) {
     let image = assemble(src).unwrap();
+    // Every blocking CHECK gates commit through its IOQ bits (Table 1
+    // semantics), which the containment scenarios depend on. Only the
+    // MLR's also drain dispatch (`ChkSpec::serializes`): the ICM's and
+    // the AHBM's dispatch back to back.
     let mut cpu = Pipeline::new(
-        PipelineConfig {
-            // Blocking CHECKs of these slots gate commit (Table 1
-            // semantics) — the containment scenarios depend on it.
-            chk_serialize_mask: (1 << ModuleId::ICM.number()) | (1 << ModuleId::MLR.number()),
-            ..PipelineConfig::default()
-        },
+        PipelineConfig::default(),
         MemorySystem::new(MemConfig::with_framework()),
     );
     cpu.load_image(&image);
@@ -121,7 +124,7 @@ fn transient_fault_is_healed_by_backoff_probe() {
     config.watchdog.health.probe_timeout = 300;
     config.watchdog.health.max_probe_attempts = 6;
     let (mut cpu, mut engine) = harness(
-        LONG_LOOP_SRC,
+        &long_loop(2000),
         config,
         vec![ScriptedModule::new(
             ModuleId::ICM,
@@ -172,8 +175,10 @@ fn permanent_fault_exhausts_probes_and_disables() {
     config.watchdog.health.probe_base = 300;
     config.watchdog.health.probe_timeout = 200;
     config.watchdog.health.max_probe_attempts = 3;
+    // Three probe rounds with backoff take longer than 2,000 iterations
+    // of back-to-back ICM CHECKs.
     let (mut cpu, mut engine) = harness(
-        LONG_LOOP_SRC,
+        &long_loop(10_000),
         config,
         vec![
             ScriptedModule::new(ModuleId::ICM, ScriptedBehavior::Silent),
@@ -196,7 +201,7 @@ fn permanent_fault_exhausts_probes_and_disables() {
 
     let ev = cpu.run(&mut engine, 5_000_000);
     assert_eq!(ev, StepEvent::Halted, "guest must complete");
-    assert_eq!(cpu.regs()[8], 2000, "golden architectural state");
+    assert_eq!(cpu.regs()[8], 10_000, "golden architectural state");
 
     assert_eq!(engine.module_health(ModuleId::ICM), HealthState::Disabled);
     assert_eq!(engine.safe_mode(), None, "1 of 3 down must not escalate");
