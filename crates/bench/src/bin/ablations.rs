@@ -58,7 +58,6 @@ fn icm_cache_sweep() {
         rse_sys::loader::load_process(&mut cpu, &image);
         let mut icm = Icm::new(IcmConfig {
             cache_entries: entries,
-            ..IcmConfig::default()
         });
         icm.install_for_control_flow(&image, &mut cpu.mem_mut().memory);
         let mut engine = Engine::new(RseConfig::default());
@@ -189,10 +188,7 @@ fn ddt_lag_model() {
         );
         rse_sys::loader::load_process(&mut cpu, &image);
         let mut engine = Engine::new(RseConfig::default());
-        let ddt = Ddt::new(DdtConfig {
-            model_log_lag: lag,
-            ..DdtConfig::default()
-        });
+        let ddt = Ddt::new(DdtConfig { model_log_lag: lag });
         engine.install(Box::new(ddt));
         engine.enable(ModuleId::DDT);
         let mut os = Os::new(OsConfig::default());

@@ -63,12 +63,21 @@ fn malformed_flag_values_name_the_flag() {
     std::fs::remove_file(path).ok();
 }
 
+/// Runs `source` under `simrun` with `flag` and returns its stdout.
+fn guest_stdout(name: &str, source: &str, flag: &str) -> String {
+    let path = program(name, source);
+    let out = simrun(&[path.to_str().unwrap(), flag]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
 #[test]
 fn load_after_blocking_ddt_retrieval_reads_the_retrieved_word() {
     // A blocking DDT_RETRIEVE drains dispatch, so the load right after
     // it reads the buffer only once the module's store has landed: the
     // serialized DDM's first word, N = 64, both times.
-    let path = program(
+    let stdout = guest_stdout(
         "ddt_retrieve",
         r#"
         main:   la   r4, outbuf
@@ -89,9 +98,71 @@ fn load_after_blocking_ddt_retrieval_reads_the_retrieved_word() {
                 .align 4
         outbuf: .space 1024
         "#,
+        "--ddt",
     );
-    let out = simrun(&[path.to_str().unwrap(), "--ddt"]);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(String::from_utf8_lossy(&out.stdout), "64\n64\n");
-    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(stdout, "64\n64\n");
+}
+
+#[test]
+fn wrong_path_mlr_got_new_leaves_the_latched_address() {
+    // The cold predictor says the always-taken `beq` is not taken, and
+    // `.align 32` puts it and the CHECK after it in one I-cache line, so
+    // that CHECK (MLR_GOT_NEW with a0 = 0) dispatches on the wrong path.
+    // It never reaches the MLR: the copy lands at `newgot`, not at 0.
+    let stdout = guest_stdout(
+        "mlr_wrong_path",
+        r#"
+        main:   la   r4, oldgot
+                li   r5, 8
+                chk  mlr, blk, 4, 0
+                la   r4, newgot
+                chk  mlr, blk, 5, 0
+                .align 32
+                beq  r0, r0, skip
+                chk  mlr, blk, 5, 0
+        skip:   chk  mlr, blk, 6, 0
+                la   r8, newgot
+                lw   r4, 0(r8)
+                li   r2, 2
+                syscall
+                li   r8, 0
+                lw   r4, 0(r8)
+                li   r2, 2
+                syscall
+                halt
+                .data
+                .align 4
+        oldgot: .word 0x1111, 0x2222
+        newgot: .word 0, 0
+        "#,
+        "--mlr",
+    );
+    assert_eq!(stdout, "4369\n0\n");
+}
+
+#[test]
+fn wrong_path_ddt_retrieval_writes_nothing() {
+    // The loop exit mispredicts, so the blocking DDT_RETRIEVE after it
+    // dispatches on the wrong path too, with a0 = 0. It never reaches
+    // the DDT: nothing is written at address 0.
+    let stdout = guest_stdout(
+        "ddt_wrong_path",
+        r#"
+        main:   li   r9, 6
+                la   r4, outbuf
+        loop:   addi r8, r8, 1
+                bne  r8, r9, loop
+                chk  ddt, blk, 4, 0
+                li   r8, 0
+                lw   r4, 0(r8)
+                li   r2, 2
+                syscall
+                halt
+                .data
+                .align 4
+        outbuf: .space 1024
+        "#,
+        "--ddt",
+    );
+    assert_eq!(stdout, "0\n");
 }

@@ -17,9 +17,6 @@ pub struct RseConfig {
     /// in each input queue is equal to the number of entries in the
     /// re-order buffer in the pipeline" (§3.1) — 16 in the paper.
     pub queue_entries: usize,
-    /// Width of one input-queue entry, in bits (32 for the simulated
-    /// processor; enters the hardware cost model).
-    pub entry_bits: u32,
     /// Self-checking watchdog parameters (§3.4).
     pub watchdog: WatchdogConfig,
 }
@@ -28,7 +25,6 @@ impl Default for RseConfig {
     fn default() -> RseConfig {
         RseConfig {
             queue_entries: 16,
-            entry_bits: 32,
             watchdog: WatchdogConfig::default(),
         }
     }
@@ -42,6 +38,5 @@ mod tests {
     fn defaults_match_paper() {
         let c = RseConfig::default();
         assert_eq!(c.queue_entries, 16);
-        assert_eq!(c.entry_bits, 32);
     }
 }

@@ -18,10 +18,10 @@ use std::collections::VecDeque;
 /// numbered from 0 and a run never reaches this range, so probe results
 /// flowing through the module→IOQ broadcast path can be told apart from
 /// real check results.
-pub const PROBE_ROB_BASE: u64 = u64::MAX - ModuleId::SLOTS as u64;
+const PROBE_ROB_BASE: u64 = u64::MAX - ModuleId::SLOTS as u64;
 
 /// The sentinel ROB id of a module's self-test probe.
-pub fn probe_rob(id: ModuleId) -> RobId {
+fn probe_rob(id: ModuleId) -> RobId {
     RobId(PROBE_ROB_BASE + id.index() as u64)
 }
 
@@ -39,14 +39,15 @@ struct ProbeFlight {
 /// Counters for the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RseStats {
-    /// CHECK instructions observed at dispatch.
+    /// CHECK instructions observed at dispatch, wrong path included.
     pub chk_dispatched: u64,
-    /// Blocking CHECKs routed to modules.
+    /// Correct-path blocking CHECKs routed to modules.
     pub chk_blocking: u64,
-    /// Non-blocking CHECKs routed to modules.
+    /// Correct-path non-blocking CHECKs routed to modules.
     pub chk_non_blocking: u64,
-    /// CHECKs addressed to disabled or absent modules (passed through by
-    /// the enable/disable unit).
+    /// CHECKs the enable/disable unit passes through as constant `10`:
+    /// ENABLE/DISABLE requests, CHECKs addressed to disabled or absent
+    /// modules, and every wrong-path CHECK.
     pub chk_passthrough: u64,
     /// Module-enable operations committed.
     pub enables: u64,
@@ -58,8 +59,8 @@ pub struct RseStats {
     pub stalls: u64,
     /// Gate queries answered in safe (decoupled) mode.
     pub safe_mode_passes: u64,
-    /// Correct-path CHECKs actually routed to a live module (the index
-    /// space [`ChkFault`] addresses).
+    /// CHECKs actually routed to a live module (the index space
+    /// [`ChkFault`] addresses): always `chk_blocking + chk_non_blocking`.
     pub chk_routed: u64,
     /// Injected [`ChkFault`]s that fired.
     pub chk_faults_applied: u64,
@@ -85,9 +86,9 @@ pub struct RseStats {
 
 /// A transient fault on the CHECK-dispatch path between the pipeline and
 /// a module — the framework-side soft errors of the §3.4 evaluation
-/// beyond stuck-at IOQ bits. The `index` counts correct-path CHECKs
-/// routed to live modules (see [`RseStats::chk_routed`]); the fault is
-/// one-shot and consumed when it fires.
+/// beyond stuck-at IOQ bits. The `index` counts CHECKs routed to live
+/// modules (see [`RseStats::chk_routed`]); the fault is one-shot and
+/// consumed when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChkFault {
     /// The `index`-th routed CHECK is lost in transit: the module never
@@ -375,8 +376,9 @@ impl Engine {
         }
     }
 
-    /// Whether a CHECK is actively routed to a module (installed, enabled,
-    /// and not an enable/disable request handled by the engine itself).
+    /// Whether a correct-path CHECK is actively routed to a module
+    /// (installed, enabled, and not an enable/disable request handled by
+    /// the engine itself).
     fn routed_to_module(&self, spec: &ChkSpec) -> bool {
         spec.op != ops::ENABLE
             && spec.op != ops::DISABLE
@@ -465,10 +467,8 @@ impl Engine {
             self.probing |= 1 << slot;
             let chk = ChkDispatch {
                 rob: probe_rob(id),
-                pc: 0,
                 spec: ChkSpec::new(id, true, ops::SELFTEST, 0),
                 operands: [0, 0],
-                wrong_path: false,
             };
             self.for_each_module(bit(id), now, mem, false, |m, ctx| m.on_chk(&chk, ctx));
         }
@@ -482,7 +482,9 @@ impl CoProcessor for Engine {
         let mut muxed = false;
         if let Inst::Chk(spec) = info.inst {
             self.stats.chk_dispatched += 1;
-            let routed = self.routed_to_module(&spec);
+            // A wrong-path CHECK is never routed: it passes through like
+            // one to a disabled module, and no module hears of it.
+            let routed = !info.wrong_path && self.routed_to_module(&spec);
             muxed = routed && self.watchdog.module_down(spec.module);
             if routed && !muxed {
                 kind = if spec.blocking {
@@ -492,23 +494,20 @@ impl CoProcessor for Engine {
                     self.stats.chk_non_blocking += 1;
                     IoqEntryKind::NonBlockingChk(spec.module)
                 };
-                // Apply any armed CHECK-dispatch fault (correct-path
-                // routed CHECKs only; the fault is one-shot).
+                // Apply any armed CHECK-dispatch fault (one-shot).
                 let mut operands = info.operands;
                 let mut dropped = false;
-                if !info.wrong_path {
-                    if let Some(fault) = self.chk_fault {
-                        if fault.index() == self.stats.chk_routed {
-                            match fault {
-                                ChkFault::Drop { .. } => dropped = true,
-                                ChkFault::Garble { xor_mask, .. } => operands[0] ^= xor_mask,
-                            }
-                            self.chk_fault = None;
-                            self.stats.chk_faults_applied += 1;
+                if let Some(fault) = self.chk_fault {
+                    if fault.index() == self.stats.chk_routed {
+                        match fault {
+                            ChkFault::Drop { .. } => dropped = true,
+                            ChkFault::Garble { xor_mask, .. } => operands[0] ^= xor_mask,
                         }
+                        self.chk_fault = None;
+                        self.stats.chk_faults_applied += 1;
                     }
-                    self.stats.chk_routed += 1;
                 }
+                self.stats.chk_routed += 1;
                 if !spec.blocking {
                     // Asynchronous mode: checkValid is set right after the
                     // module scans the Fetch_Out queue (§3.2). A dropped
@@ -523,16 +522,15 @@ impl CoProcessor for Engine {
                         deliver_at: now + FETCH_SCAN_DELAY,
                         chk: ChkDispatch {
                             rob: info.rob,
-                            pc: info.pc,
                             spec,
                             operands,
-                            wrong_path: info.wrong_path,
                         },
                     });
                 }
             } else if !muxed {
-                // Enable/disable requests and CHECKs to disabled/absent
-                // modules: the enable/disable unit writes constant `10`.
+                // Enable/disable requests, CHECKs to disabled/absent
+                // modules and wrong-path CHECKs: the enable/disable unit
+                // writes constant `10`.
                 self.stats.chk_passthrough += 1;
             }
         }
@@ -555,9 +553,10 @@ impl CoProcessor for Engine {
             // and the module never sees it.
             self.mux(info.rob);
         }
-        if self.any_enabled() {
-            // Fan the dispatch out to every enabled module's tap (the mux
-            // disconnects quarantined modules from the input queues).
+        if self.any_enabled() && !info.wrong_path {
+            // Fan a correct-path dispatch out to every enabled module's
+            // tap (the mux disconnects quarantined modules from the input
+            // queues).
             self.for_each_module(self.enabled, now, mem, true, |m, ctx| {
                 m.on_dispatch(info, ctx)
             });
@@ -574,15 +573,11 @@ impl CoProcessor for Engine {
     }
 
     fn on_commit(&mut self, now: u64, rob: RobId, mem: &mut MemorySystem) {
-        // If the CHECK is committing before its scan-delayed delivery
-        // fired (a fast commit), deliver it to its module now: the scan
-        // completes no later than retirement. Quarantined modules are
-        // disconnected from the scan — the CHECK is simply lost.
-        if let Some(pos) = self.pending_chk.iter().position(|p| p.chk.rob == rob) {
-            let p = self.pending_chk.remove(pos).expect("position valid");
-            let mask = self.enabled & bit(p.chk.spec.module);
-            self.for_each_module(mask, now, mem, true, |m, ctx| m.on_chk(&p.chk, ctx));
-        }
+        // A CHECK is delivered by the tick after its dispatch, two cycles
+        // before it can commit. Only a host-side `Engine::disable` of
+        // every module stops the ticks in between; its delivery is then
+        // dropped, as at a squash.
+        self.pending_chk.retain(|p| p.chk.rob != rob);
         if let Some(e) = self.ioq.entry(rob).copied() {
             // The enable/disable unit switches a module when the request
             // commits: the request serializes dispatch, so everything
@@ -629,10 +624,12 @@ impl CoProcessor for Engine {
         self.pending_chk.retain(|p| p.chk.rob != rob);
         self.pending_ioq.retain(|(_, r, _)| *r != rob);
         // The id goes to the next instruction dispatched in this one's
-        // place, so every installed module drops its state for it, also
-        // one a host-side `Engine::disable` switched off while the
-        // instruction was in flight.
-        if self.installed != 0 {
+        // place, so every installed module that saw the instruction (it
+        // was on the correct path) drops its state for it, also one a
+        // host-side `Engine::disable` switched off while the instruction
+        // was in flight.
+        let seen = self.ioq.fetched(rob).is_some_and(|f| !f.wrong_path);
+        if seen && self.installed != 0 {
             self.for_each_module(self.installed, now, mem, false, |m, ctx| {
                 m.on_squash(rob, ctx)
             });
@@ -954,7 +951,9 @@ mod tests {
         engine.enable(SLOT9);
         // The loop branch mispredicts at least once; instructions beyond
         // it (including the CHK at `after`) are fetched wrong-path and
-        // squashed.
+        // squashed. The engine passes the wrong-path CHK through without
+        // delivering it, so the module hears of neither it nor any
+        // squash.
         let cpu = run(
             &mut engine,
             r#"
@@ -967,9 +966,12 @@ mod tests {
             "#,
         );
         assert_eq!(cpu.regs()[8], 3);
+        assert!(cpu.stats().squashed > 0, "the loop exit mispredicts");
         let m: &CountingModule = engine.module_ref(SLOT9).unwrap();
-        // Exactly one CHK commits even if several were dispatched.
-        assert_eq!(m.chk_commits, 1);
+        assert_eq!((m.chks_seen, m.chk_commits, m.squashes), (1, 1, 0));
+        let stats = engine.stats();
+        assert_eq!(stats.chk_passthrough, 1);
+        assert_eq!(stats.chk_non_blocking, 1);
     }
 
     #[test]

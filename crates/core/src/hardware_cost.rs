@@ -16,6 +16,10 @@ use crate::RseConfig;
 /// Execute_Out, Memory_Out, Commit_Out).
 pub const INPUT_QUEUES: u32 = 5;
 
+/// Width of one input-queue entry, in bits: the word of the 32-bit
+/// processor the footnote-4 estimate assumes (§3.1).
+const ENTRY_BITS: u32 = 32;
+
 /// Gate cost of an n-to-1 multiplexer with feedback loop, per the
 /// paper's footnote: 2→4 gates, 3→5 gates, 4→6 gates.
 pub fn mux_gates(inputs: u32) -> u32 {
@@ -44,7 +48,7 @@ pub struct HardwareCost {
 /// 2-to-1.
 pub fn input_interface_cost(config: &RseConfig) -> HardwareCost {
     let entries = config.queue_entries as u64;
-    let bits = config.entry_bits as u64;
+    let bits = ENTRY_BITS as u64;
     let flip_flops = INPUT_QUEUES as u64 * entries * bits;
     let per_bit_gates = (2 * mux_gates(4) + 2 * mux_gates(2) + mux_gates(3)) as u64;
     let mux_gate_count = per_bit_gates * bits * entries;

@@ -213,20 +213,10 @@ impl Ioq {
         self.fault = fault;
     }
 
-    /// The currently injected fault, if any.
-    pub fn fault(&self) -> Option<IoqFault> {
-        self.fault
-    }
-
     /// Injects (or clears) a stuck-at fault confined to one module's
     /// CHECK entries.
     pub fn inject_module_fault(&mut self, fault: Option<(ModuleId, IoqFault)>) {
         self.module_fault = fault;
-    }
-
-    /// The currently injected module-targeted fault, if any.
-    pub fn module_fault(&self) -> Option<(ModuleId, IoqFault)> {
-        self.module_fault
     }
 
     /// The fault observable on the output wires of `module`'s CHECK

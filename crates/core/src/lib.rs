@@ -72,7 +72,7 @@ pub mod testutil;
 pub mod watchdog;
 
 pub use config::RseConfig;
-pub use engine::{probe_rob, ChkFault, Engine, RseStats, PROBE_ROB_BASE};
+pub use engine::{ChkFault, Engine, RseStats};
 pub use health::{AnomalyKind, HealthConfig, HealthEvent, HealthState, ModuleHealth};
 pub use ioq::{FetchOutEntry, Ioq, IoqEntryKind, IoqFault};
 pub use mau::{Mau, MauOp, MauRequest};

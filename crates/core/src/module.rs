@@ -35,19 +35,17 @@ impl std::fmt::Display for Verdict {
     }
 }
 
-/// A CHECK instruction delivered to its module after the Fetch_Out scan.
+/// A correct-path CHECK instruction delivered to its module after the
+/// Fetch_Out scan. Its pc and word are in its `Fetch_Out` slot
+/// ([`Ioq::fetched`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChkDispatch {
     /// Identity of the CHECK instruction in the pipeline.
     pub rob: RobId,
-    /// PC of the CHECK instruction.
-    pub pc: u32,
     /// The decoded CHECK fields.
     pub spec: ChkSpec,
     /// Wide operands (`a0`, `a1` at dispatch).
     pub operands: [u32; 2],
-    /// Whether the pipeline flagged the CHECK as wrong-path.
-    pub wrong_path: bool,
 }
 
 /// The services the engine exposes to a module during a callback.
@@ -87,10 +85,17 @@ impl ModuleCtx<'_> {
 /// A hardware module embedded in the RSE.
 ///
 /// Callbacks mirror the input queues of Figure 1; all have empty default
-/// implementations so a module only taps the signals it needs. State
-/// must be either architectural-only or cleaned up on
-/// [`Module::on_squash`] — "no speculative state is maintained in the
-/// RSE modules" (§3.1).
+/// implementations so a module only taps the signals it needs.
+///
+/// The engine filters speculation, so no module has to: "no speculative
+/// state is maintained in the RSE modules" (§3.1). A module hears only
+/// of correct-path instructions. [`Module::on_chk`],
+/// [`Module::on_dispatch`], [`Module::on_execute`] and
+/// [`Module::on_squash`] never receive a wrong-path instruction; a
+/// wrong-path CHECK passes through as constant `10`, like one to a
+/// disabled module. A correct-path instruction can still be squashed
+/// (a CHECK's flush, an exception), so state kept for an instruction
+/// must be dropped on [`Module::on_squash`].
 pub trait Module: Any {
     /// The module slot this module occupies.
     fn id(&self) -> ModuleId;
@@ -98,17 +103,18 @@ pub trait Module: Any {
     /// Human-readable module name.
     fn name(&self) -> &'static str;
 
-    /// A CHECK instruction addressed to this module was acquired from
-    /// the `Fetch_Out` queue.
+    /// A correct-path CHECK instruction addressed to this module was
+    /// acquired from the `Fetch_Out` queue.
     fn on_chk(&mut self, chk: &ChkDispatch, ctx: &mut ModuleCtx<'_>);
 
-    /// Any instruction was dispatched (the module's Fetch_Out /
-    /// Regfile_Data tap).
+    /// A correct-path instruction was dispatched (the module's
+    /// Fetch_Out / Regfile_Data tap).
     fn on_dispatch(&mut self, info: &DispatchInfo, ctx: &mut ModuleCtx<'_>) {
         let _ = (info, ctx);
     }
 
-    /// Any instruction finished execution (Execute_Out / Memory_Out tap).
+    /// A correct-path instruction finished execution (Execute_Out /
+    /// Memory_Out tap).
     fn on_execute(&mut self, info: &ExecuteInfo, ctx: &mut ModuleCtx<'_>) {
         let _ = (info, ctx);
     }
@@ -118,8 +124,8 @@ pub trait Module: Any {
         let _ = (rob, ctx);
     }
 
-    /// An instruction was squashed; the module must drop any state it
-    /// holds for it.
+    /// A correct-path instruction was squashed; the module must drop any
+    /// state it holds for it.
     fn on_squash(&mut self, rob: RobId, ctx: &mut ModuleCtx<'_>) {
         let _ = (rob, ctx);
     }

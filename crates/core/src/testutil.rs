@@ -4,12 +4,13 @@
 
 use crate::module::{ChkDispatch, Module, ModuleCtx, Verdict};
 use rse_isa::ModuleId;
-use rse_pipeline::{DispatchInfo, RobId};
+use rse_pipeline::RobId;
 use std::any::Any;
 use std::collections::HashMap;
 
-/// A module that counts everything it sees and immediately passes every
-/// blocking CHECK. Handy for wiring tests.
+/// A module that counts the CHECKs it is given, their commits and the
+/// squashes it hears of, and immediately passes every blocking CHECK.
+/// Handy for wiring tests.
 #[derive(Debug)]
 pub struct CountingModule {
     id: ModuleId,
@@ -17,14 +18,8 @@ pub struct CountingModule {
     pub chks_seen: u64,
     /// CHECK instructions that committed.
     pub chk_commits: u64,
-    /// Dispatch events observed.
-    pub dispatches: u64,
-    /// Execute events observed.
-    pub executes: u64,
     /// Squashes observed.
     pub squashes: u64,
-    /// Ticks observed.
-    pub ticks: u64,
     /// Operands of the most recent CHECK.
     pub last_operands: [u32; 2],
     /// Parameter of the most recent CHECK.
@@ -39,10 +34,7 @@ impl CountingModule {
             id,
             chks_seen: 0,
             chk_commits: 0,
-            dispatches: 0,
-            executes: 0,
             squashes: 0,
-            ticks: 0,
             last_operands: [0, 0],
             last_param: 0,
             chk_robs: HashMap::new(),
@@ -69,14 +61,6 @@ impl Module for CountingModule {
         }
     }
 
-    fn on_dispatch(&mut self, _info: &DispatchInfo, _ctx: &mut ModuleCtx<'_>) {
-        self.dispatches += 1;
-    }
-
-    fn on_execute(&mut self, _info: &rse_pipeline::ExecuteInfo, _ctx: &mut ModuleCtx<'_>) {
-        self.executes += 1;
-    }
-
     fn on_commit(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
         if self.chk_robs.remove(&rob).is_some() {
             self.chk_commits += 1;
@@ -86,10 +70,6 @@ impl Module for CountingModule {
     fn on_squash(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
         self.chk_robs.remove(&rob);
         self.squashes += 1;
-    }
-
-    fn tick(&mut self, _ctx: &mut ModuleCtx<'_>) {
-        self.ticks += 1;
     }
 
     fn as_any(&self) -> &dyn Any {

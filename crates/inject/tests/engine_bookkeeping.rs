@@ -83,7 +83,9 @@ fn icm_loop_mem_text_run1_bookkeeping_is_pinned() {
         Bookkeeping {
             rse: RseStats {
                 chk_dispatched: 201_372,
-                chk_blocking: 201_372,
+                // The 66 wrong-path CHECKs pass through unrouted.
+                chk_blocking: 201_306,
+                chk_passthrough: 66,
                 stalls: 85,
                 chk_routed: 201_306,
                 ..RseStats::default()
@@ -105,9 +107,9 @@ fn icm_loop_mem_text_run1_bookkeeping_is_pinned() {
             ioq_allocated: 604_147,
             ioq_error_verdicts: 0,
             icm: Some(IcmStats {
-                checks_completed: 201_326,
+                checks_completed: 201_304,
                 mismatches: 0,
-                cache_hits: 201_347,
+                cache_hits: 201_304,
                 cache_misses: 1,
             }),
             ddt: None,

@@ -36,27 +36,19 @@ use std::any::Any;
 /// base address of the page to checkpoint.
 pub const SAVE_PAGE_EXCEPTION: u32 = 1;
 
+/// Maximum thread count N: the DDM is N×N (§4.2.1).
+const MAX_THREADS: usize = 64;
+
+/// Hot-page capacity of the Page Status Table (§4.2.1).
+const PST_CAPACITY: usize = 4096;
+
 /// DDT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DdtConfig {
-    /// Maximum thread count N (the DDM is N×N).
-    pub max_threads: usize,
-    /// Hot-page capacity of the Page Status Table.
-    pub pst_capacity: usize,
     /// Model the 1-cycle logging lag of §4.2.1: if two
     /// dependency-creating accesses commit in the same cycle, the second
     /// dependency is lost (counted in `missed_logs`).
     pub model_log_lag: bool,
-}
-
-impl Default for DdtConfig {
-    fn default() -> DdtConfig {
-        DdtConfig {
-            max_threads: 64,
-            pst_capacity: 4096,
-            model_log_lag: false,
-        }
-    }
 }
 
 /// A page checkpoint captured by the DDT's internal buffer, to be drained
@@ -126,8 +118,8 @@ impl Ddt {
     pub fn new(config: DdtConfig) -> Ddt {
         Ddt {
             config,
-            pst: PageStatusTable::new(config.pst_capacity),
-            ddm: DependencyMatrix::new(config.max_threads),
+            pst: PageStatusTable::new(PST_CAPACITY),
+            ddm: DependencyMatrix::new(MAX_THREADS),
             current_thread: None,
             thread_shadow: None,
             pending_mem: Vec::new(),
@@ -174,10 +166,7 @@ impl Ddt {
     /// `DDT_SET_THREAD` CHECK, used when switching outside instruction
     /// flow).
     pub fn set_current_thread(&mut self, thread: ThreadId) {
-        assert!(
-            thread < self.config.max_threads,
-            "thread id exceeds DDM capacity"
-        );
+        assert!(thread < MAX_THREADS, "thread id exceeds DDM capacity");
         self.current_thread = Some(thread);
         self.thread_shadow = Some(thread);
     }
@@ -295,7 +284,7 @@ impl Module for Ddt {
 
     fn on_commit(&mut self, rob: RobId, ctx: &mut ModuleCtx<'_>) {
         if let Some(tid) = take_pending(&mut self.pending_chk, rob) {
-            if tid < self.config.max_threads {
+            if tid < MAX_THREADS {
                 self.current_thread = Some(tid);
                 self.thread_shadow = Some(tid);
             }
@@ -374,9 +363,7 @@ impl Module for Ddt {
         // check it is within DDM range: a flipped thread id would
         // silently mis-attribute every dependency, so it is the state
         // the probe must be able to see.
-        let in_range = self
-            .current_thread
-            .is_none_or(|t| t < self.config.max_threads);
+        let in_range = self.current_thread.is_none_or(|t| t < MAX_THREADS);
         if in_range && self.current_thread == self.thread_shadow {
             Verdict::Pass
         } else {
@@ -388,12 +375,8 @@ impl Module for Ddt {
         // Upset the thread-id register (but not its shadow): pick a
         // different in-range id so the module keeps running — and keeps
         // mis-attributing — until a probe catches the mismatch.
-        let n = self.config.max_threads;
-        if n < 2 {
-            return false;
-        }
         let cur = self.current_thread.unwrap_or(0);
-        let wrong = (cur + 1 + (seed as usize % (n - 1))) % n;
+        let wrong = (cur + 1 + (seed as usize % (MAX_THREADS - 1))) % MAX_THREADS;
         self.current_thread = Some(wrong);
         true
     }
@@ -617,10 +600,7 @@ mod tests {
         // It completes only once its own store has landed: the serialized
         // DDM starts with N.
         assert_eq!(gate, CommitGate::Pass);
-        assert_eq!(
-            mem.memory.read_u32(second),
-            DdtConfig::default().max_threads as u32
-        );
+        assert_eq!(mem.memory.read_u32(second), MAX_THREADS as u32);
     }
 
     #[test]
@@ -643,11 +623,8 @@ mod tests {
         let (cpu, _engine, _) = run_with_ddt(src);
         let image = assemble(src).unwrap();
         let outbuf = image.symbol("outbuf").unwrap();
-        // First word of the serialized DDM is N (max_threads).
-        assert_eq!(
-            cpu.mem().memory.read_u32(outbuf),
-            DdtConfig::default().max_threads as u32
-        );
+        // First word of the serialized DDM is N (`MAX_THREADS`).
+        assert_eq!(cpu.mem().memory.read_u32(outbuf), MAX_THREADS as u32);
     }
 
     #[test]
@@ -671,7 +648,7 @@ mod tests {
         buf2:   .space 1024
         "#;
         let (cpu, engine, _) = run_with_ddt(src);
-        let n = DdtConfig::default().max_threads as u32;
+        let n = MAX_THREADS as u32;
         assert_eq!((cpu.regs()[10], cpu.regs()[11]), (n, n));
         assert_eq!(engine.module_health(ModuleId::DDT), HealthState::Healthy);
         assert_eq!(engine.stats().chk_nop_committed, 0);

@@ -25,28 +25,27 @@ use rse_pipeline::RobId;
 use std::any::Any;
 use std::collections::HashMap;
 
+/// Words fetched from CheckerMemory per `Icm_Cache` miss: the §5.2
+/// "replacement size of 8 least-recently-used entries", replaced at once.
+const REFILL_BATCH: u32 = 8;
+
+/// Base address of the CheckerMemory, the separate chunk of memory that
+/// holds the redundant copies contiguously (§4.3).
+const CHECKER_BASE: u32 = 0x3000_0000;
+
+/// Cycles of the compare stage, `ICM_COMP` (§4.3, Figure 6).
+const COMPARE_LATENCY: u64 = 1;
+
 /// ICM configuration (§5.2 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IcmConfig {
     /// Entries in the `Icm_Cache` (checked-instruction words).
     pub cache_entries: usize,
-    /// Words fetched from CheckerMemory per miss (the "replacement
-    /// size"): this many LRU entries are replaced at once.
-    pub refill_batch: usize,
-    /// Base address of the CheckerMemory region.
-    pub checker_base: u32,
-    /// Cycles for the compare stage (`ICM_COMP`).
-    pub compare_latency: u64,
 }
 
 impl Default for IcmConfig {
     fn default() -> IcmConfig {
-        IcmConfig {
-            cache_entries: 256,
-            refill_batch: 8,
-            checker_base: 0x3000_0000,
-            compare_latency: 1,
-        }
+        IcmConfig { cache_entries: 256 }
     }
 }
 
@@ -149,7 +148,6 @@ pub struct IcmStats {
 /// The Instruction Checker Module.
 #[derive(Debug)]
 pub struct Icm {
-    config: IcmConfig,
     layout: CheckerLayout,
     cache: LruStack,
     pending: Vec<PendingCheck>,
@@ -167,7 +165,6 @@ impl Icm {
     /// wrapper) after loading the program.
     pub fn new(config: IcmConfig) -> Icm {
         let mut icm = Icm {
-            config,
             layout: CheckerLayout::default(),
             cache: LruStack::new(config.cache_entries),
             pending: Vec::new(),
@@ -190,7 +187,7 @@ impl Icm {
 
     /// Statically parses `image` and stores a redundant copy of every
     /// instruction selected by `checked` contiguously in CheckerMemory
-    /// (written into `mem` at the configured base). This is the paper's
+    /// (written into `mem` at `CHECKER_BASE`). This is the paper's
     /// load-time preparation step.
     pub fn install_checker_memory(
         &mut self,
@@ -199,7 +196,7 @@ impl Icm {
         mut checked: impl FnMut(&rse_isa::Inst) -> bool,
     ) {
         let mut layout = CheckerLayout {
-            base: self.config.checker_base,
+            base: CHECKER_BASE,
             ..Default::default()
         };
         for (i, &word) in image.text.iter().enumerate() {
@@ -211,7 +208,7 @@ impl Icm {
                 let idx = layout.pc_of_index.len() as u32;
                 layout.index_of_pc.insert(pc, idx);
                 layout.pc_of_index.push(pc);
-                mem.write_u32(self.config.checker_base + idx * 4, word);
+                mem.write_u32(CHECKER_BASE + idx * 4, word);
             }
         }
         self.layout = layout;
@@ -237,11 +234,10 @@ impl Icm {
 
     /// Handles arrival of the redundant copy for a pending check.
     fn redundant_copy_arrived(&mut self, now: u64, idx: usize, word: u32) {
-        let latency = self.config.compare_latency;
         let p = &mut self.pending[idx];
         let error = word != p.pipeline_word;
         p.stage = Stage::Comp {
-            done_at: now + latency,
+            done_at: now + COMPARE_LATENCY,
             error,
         };
     }
@@ -310,8 +306,8 @@ impl Module for Icm {
             } else if !busy {
                 self.stats.cache_misses += 1;
                 let addr = self.layout.addr_of(pc).unwrap_or(pc);
-                // Batch refill: fetch `refill_batch` consecutive words.
-                let bytes = (self.config.refill_batch as u32) * 4;
+                // Batch refill: fetch `REFILL_BATCH` consecutive words.
+                let bytes = REFILL_BATCH * 4;
                 let ticket = ctx.mau.submit(MauRequest {
                     module: ModuleId::ICM,
                     addr,
@@ -495,7 +491,7 @@ mod tests {
         assert_eq!(icm.layout().len(), 1);
         let bne_pc = image.text_base + 3 * 4;
         let addr = icm.layout().addr_of(bne_pc).unwrap();
-        assert_eq!(addr, IcmConfig::default().checker_base);
+        assert_eq!(addr, CHECKER_BASE);
         assert_eq!(mem.read_u32(addr), image.text[3]);
         assert_eq!(icm.layout().addr_of(image.text_base), None);
     }
@@ -643,10 +639,7 @@ mod tests {
                 MemorySystem::new(MemConfig::with_framework()),
             );
             cpu.load_image(&image);
-            let mut icm = Icm::new(IcmConfig {
-                cache_entries,
-                ..IcmConfig::default()
-            });
+            let mut icm = Icm::new(IcmConfig { cache_entries });
             icm.install_for_control_flow(&image, &mut cpu.mem_mut().memory);
             let mut engine = Engine::new(RseConfig::default());
             engine.install(Box::new(icm));

@@ -33,15 +33,17 @@ use rse_pipeline::RobId;
 use rse_support::rng::splitmix64;
 use std::any::Any;
 
+/// Mask applied to the raw random value before page alignment: each
+/// region's base moves within a 16 MB range (§4.1).
+const RANGE_MASK: u32 = 0x00FF_FFFF;
+
+/// Cycles of register-transfer work to parse the header and compute the
+/// randomized bases: the adder tree of Figure 3(B) (§4.1).
+const PARSE_CYCLES: u64 = 4;
+
 /// MLR configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MlrConfig {
-    /// Mask applied to the raw random value before page alignment: the
-    /// randomization range for each region (default 16 MB).
-    pub range_mask: u32,
-    /// Cycles of register-transfer work to parse the header and compute
-    /// the randomized bases (the adder tree of Figure 3(B)).
-    pub parse_cycles: u64,
     /// PLT entries rewritten per cycle (the paper uses 4 parallel adders).
     pub plt_rewrite_parallelism: u32,
     /// Optional fixed seed overriding the clock-cycle-counter entropy,
@@ -52,8 +54,6 @@ pub struct MlrConfig {
 impl Default for MlrConfig {
     fn default() -> MlrConfig {
         MlrConfig {
-            range_mask: 0x00FF_FFFF,
-            parse_cycles: 4,
             plt_rewrite_parallelism: 4,
             seed: None,
         }
@@ -217,7 +217,7 @@ impl Mlr {
         }
         let raw = splitmix64(&mut self.rng) as u32;
         // Page-aligned, non-zero offset within the configured range.
-        let off = (raw & self.config.range_mask) & !(PAGE_SIZE - 1);
+        let off = (raw & RANGE_MASK) & !(PAGE_SIZE - 1);
         if off == 0 {
             PAGE_SIZE
         } else {
@@ -236,7 +236,7 @@ impl Mlr {
         self.stats.rerandomizations += 1;
         loop {
             let candidate = old_base
-                .wrapping_sub((self.config.range_mask / 2) & !(PAGE_SIZE - 1))
+                .wrapping_sub((RANGE_MASK / 2) & !(PAGE_SIZE - 1))
                 .wrapping_add(self.next_offset(now));
             if candidate != old_base && candidate.is_multiple_of(PAGE_SIZE) {
                 return candidate;
@@ -377,7 +377,7 @@ impl Module for Mlr {
                         };
                         self.header = Some(h);
                         Stage::Compute {
-                            until: now + self.config.parse_cycles,
+                            until: now + PARSE_CYCLES,
                         }
                     }
                     OpKind::CopyGot => {

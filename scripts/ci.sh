@@ -286,6 +286,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # directly, so an API change can break it; building the package above
 # does not compile it. It builds into perfbench's own target directory.
 cargo build --release --offline --manifest-path perfbench/traced/Cargo.toml
+# Its tests check that a traced run reproduces the untraced records, so
+# a change to which module callbacks fire shows here.
+cargo test --release --offline --manifest-path perfbench/traced/Cargo.toml
 
 echo "== tier 3: bounded model checking (rse-mc)"
 # Four theorem binaries drive the REAL production types (ModuleHealth,
