@@ -130,7 +130,7 @@ pub fn run_one_with(
     let mlr_seed = mlr_layout_seed(v, seed);
     let t = run_trial(w, &image, r, mlr_seed, &plan);
     let (outcome, recovery) = classify(&t, AttackOutcome::Compromised, || {
-        rerun(w, &image, r, &t.pre, mlr_seed, None)
+        rerun(w, &image, r, mlr_seed, None)
     });
     AttackRecord {
         victim: w.name,

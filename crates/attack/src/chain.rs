@@ -35,9 +35,7 @@ use crate::model::AttackModel;
 use crate::outcome::{AttackOutcome, AttackRecord};
 use crate::surface::{map_surface, sample_attack, STACK_SLOT_OFFSET};
 use crate::victim::Victim;
-use rse_inject::{
-    rerun, run_trial, FaultPlan, PlannedFault, RecoveryStatus, RefState, Strike, Trial,
-};
+use rse_inject::{rerun, run_trial, FaultPlan, PlannedFault, RecoveryStatus, RefState, Strike};
 use rse_isa::asm::assemble;
 use rse_isa::layout::{HEAP_BASE, STACK_BASE};
 use rse_isa::ModuleId;
@@ -83,7 +81,7 @@ pub fn run_chain(
     let plan = sample_attack(model, seed, v, &surface, &r.profile);
     let mlr_seed = mlr_layout_seed(v, seed);
     let trial = |plan: &FaultPlan| run_trial(w, &image, r, mlr_seed, plan);
-    let rollback = |t: &Trial| rerun(w, &image, r, &t.pre, mlr_seed, None);
+    let rollback = || rerun(w, &image, r, mlr_seed, None);
     let record = |(outcome, recovery), cycles, attack| AttackRecord {
         victim: w.name,
         defended: v.defended,
@@ -106,7 +104,7 @@ pub fn run_chain(
             // detection, or a crash — resolves the run on its own: no
             // adaptation happened, so this is exactly the single-shot
             // classification.
-            let probe = classify(&first, AttackOutcome::Compromised, || rollback(&first));
+            let probe = classify(&first, AttackOutcome::Compromised, rollback);
             if probe.0 != AttackOutcome::Prevented {
                 let attack = format!("chain[probe:{};probe-hit]", plan.describe());
                 return record(probe, first.cycles, attack);
@@ -145,7 +143,7 @@ pub fn run_chain(
                 plan.describe()
             );
             record(
-                classify(&strike, loss, || rollback(&strike)),
+                classify(&strike, loss, rollback),
                 first.cycles + leak.cycles + strike.cycles,
                 attack,
             )
@@ -170,7 +168,7 @@ pub fn run_chain(
             // attacked surface instead of livelocking in rollback —
             // never a silent wrong answer.
             let (outcome, recovery) = classify(&first, AttackOutcome::Compromised, || {
-                rerun(w, &image, r, &first.pre, mlr_seed, Some(strike))
+                rerun(w, &image, r, mlr_seed, Some(strike))
             });
             let outcome = match (outcome, &recovery) {
                 (AttackOutcome::Detected(m), RecoveryStatus::FailedSafeHalt { .. }) => {
@@ -186,8 +184,7 @@ pub fn run_chain(
         // health machine quarantines it, then hijack through the
         // NOP-muxed blind spot.
         AttackModel::QuarantineEvade => {
-            let (outcome, recovery) =
-                classify(&first, AttackOutcome::Compromised, || rollback(&first));
+            let (outcome, recovery) = classify(&first, AttackOutcome::Compromised, rollback);
             // Quarantined checker + divergent result: the forged burst
             // bought the attacker a blind spot and the hijack landed in
             // it. The loss is the evaded module's.

@@ -32,15 +32,13 @@
 //! victim. Every victim runs the same period sweep, and the
 //! strict-decrease gate holds **per victim**.
 
-use rse_core::{Engine, RseConfig};
 use rse_inject::run_sharded;
 use rse_isa::asm::assemble;
-use rse_mem::{MemConfig, MemorySystem};
 use rse_modules::mlr::{Mlr, MlrConfig};
-use rse_pipeline::{Pipeline, PipelineConfig, StepEvent};
+use rse_pipeline::StepEvent;
 use rse_support::rng::{fnv1a64, splitmix64};
 use rse_sys::rerand::{maybe_rerandomize, RerandPlan};
-use rse_sys::{loader, Os, OsConfig, OsExit};
+use rse_sys::{Machine, MachineSpec, OsConfig, OsExit};
 
 /// Work rounds in the victim's window (each ends at a YIELD safe
 /// point). Leak and strike rounds are drawn inside this window.
@@ -290,13 +288,13 @@ fn attacker_wins(src: &str, seed: u64, period: Option<u64>) -> bool {
     let leak_round = 1 + (splitmix64(&mut s) % u64::from(ROUNDS / 2)) as u32;
     let gap = 1 + (splitmix64(&mut s) % u64::from(ROUNDS / 2 - 1)) as u32;
     let strike_round = leak_round + gap;
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    loader::load_process(&mut cpu, &image);
-    let mut engine = Engine::new(RseConfig::default());
-    let mut os = Os::new(OsConfig::default());
+    let spec = MachineSpec {
+        os: Some(OsConfig::default()),
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(&image, spec);
+    let Machine { cpu, engine, os } = &mut m;
+    let os = os.as_mut().expect("built with the guest OS");
     let mut mlr = Mlr::new(MlrConfig {
         seed: Some(seed | 1),
         ..MlrConfig::default()
@@ -311,11 +309,11 @@ fn attacker_wins(src: &str, seed: u64, period: Option<u64>) -> bool {
     let mut leaked: Option<u32> = None;
     let mut round = 0u32;
     let exit = loop {
-        match cpu.run(&mut engine, TRIAL_FUEL) {
+        match cpu.run(engine, TRIAL_FUEL) {
             StepEvent::Syscall => {
                 round += 1;
                 if period.is_some() {
-                    maybe_rerandomize(&mut cpu, &mut mlr, &mut plan, &mut next_due);
+                    maybe_rerandomize(cpu, &mut mlr, &mut plan, &mut next_due);
                 }
                 if round == leak_round {
                     leaked = Some(plan.base);
@@ -327,7 +325,7 @@ fn attacker_wins(src: &str, seed: u64, period: Option<u64>) -> bool {
                     // the scrubbed old page — harmless.
                     cpu.mem_mut().memory.write_u32(base, 0x0020_0000);
                 }
-                if let Some(e) = os.dispatch_pending_syscall(&mut cpu, &mut engine) {
+                if let Some(e) = os.dispatch_pending_syscall(cpu, engine) {
                     break e;
                 }
             }

@@ -14,16 +14,31 @@
 //! ```
 
 use rse_bench::{assemble_or_die, header, row};
-use rse_core::{Engine, RseConfig};
-use rse_isa::ModuleId;
-use rse_mem::{MemConfig, MemorySystem};
+use rse_isa::{Image, ModuleId};
 use rse_modules::ddt::{Ddt, DdtConfig};
 use rse_modules::icm::{Icm, IcmConfig};
-use rse_modules::mlr::{Mlr, MlrConfig};
-use rse_pipeline::{CheckPolicy, Pipeline, PipelineConfig, StepEvent};
-use rse_sys::{Os, OsConfig, OsExit};
+use rse_modules::mlr::MlrConfig;
+use rse_pipeline::CheckPolicy;
+use rse_sys::{Machine, MachineSpec, ModuleSpec, OsConfig, OsExit};
 use rse_workloads::mlr_bench::{rse_source, MlrBenchParams};
 use rse_workloads::server::{source as server_source, ServerParams};
+
+/// Builds the machine `spec` names for `image` and runs it to a clean
+/// exit within `max_cycles`.
+fn run_clean(image: &Image, spec: MachineSpec, max_cycles: u64) -> Machine {
+    let mut m = Machine::build(image, spec);
+    assert_eq!(m.run(max_cycles), OsExit::Exited { code: 0 });
+    m
+}
+
+/// A process under the default guest OS with `modules`.
+fn process(modules: Vec<ModuleSpec>) -> MachineSpec {
+    MachineSpec {
+        modules,
+        os: Some(OsConfig::default()),
+        ..MachineSpec::default()
+    }
+}
 
 /// A loop over a long chain of distinct branch sites: the checked-
 /// instruction working set (~`sites` entries) straddles the Icm_Cache
@@ -48,24 +63,14 @@ fn icm_cache_sweep() {
         row(&["Icm entries", "Cycles", "Hits", "Misses", "Hit rate"], &w)
     );
     for entries in [16usize, 64, 256, 1024] {
-        let mut cpu = Pipeline::new(
-            PipelineConfig {
-                check_policy: CheckPolicy::ControlFlow,
-                ..PipelineConfig::default()
-            },
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        rse_sys::loader::load_process(&mut cpu, &image);
-        let mut icm = Icm::new(IcmConfig {
+        let icm = ModuleSpec::Icm(IcmConfig {
             cache_entries: entries,
         });
-        icm.install_for_control_flow(&image, &mut cpu.mem_mut().memory);
-        let mut engine = Engine::new(RseConfig::default());
-        engine.install(Box::new(icm));
-        engine.enable(ModuleId::ICM);
-        let mut os = Os::new(OsConfig::default());
-        let exit = os.run(&mut cpu, &mut engine, 2_000_000_000);
-        assert_eq!(exit, OsExit::Exited { code: 0 });
+        let spec = MachineSpec {
+            check_policy: CheckPolicy::ControlFlow,
+            ..process(vec![icm])
+        };
+        let Machine { cpu, engine, .. } = run_clean(&image, spec, 2_000_000_000);
         let icm: &Icm = engine.module_ref(ModuleId::ICM).unwrap();
         let s = icm.stats();
         let rate = 100.0 * s.cache_hits as f64 / (s.cache_hits + s.cache_misses).max(1) as f64;
@@ -92,18 +97,15 @@ fn mlr_parallelism_sweep() {
     let w = [10, 12];
     println!("{}", row(&["Adders", "Cycles"], &w));
     for adders in [1u32, 2, 4, 8, 16] {
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        cpu.load_image(&image);
-        let mut engine = Engine::new(RseConfig::default());
-        engine.install(Box::new(Mlr::new(MlrConfig {
+        let mlr = ModuleSpec::Mlr(MlrConfig {
             plt_rewrite_parallelism: adders,
             ..MlrConfig::default()
-        })));
-        engine.enable(ModuleId::MLR);
-        assert_eq!(cpu.run(&mut engine, 100_000_000), StepEvent::Halted);
+        });
+        let spec = MachineSpec {
+            modules: vec![mlr],
+            ..MachineSpec::default()
+        };
+        let cpu = run_clean(&image, spec, 100_000_000).cpu;
         println!(
             "{}",
             row(&[&adders.to_string(), &cpu.stats().cycles.to_string()], &w)
@@ -121,24 +123,20 @@ fn ddt_save_cost_sweep() {
     let w = [18, 12, 12];
     println!("{}", row(&["Save cost (cyc)", "Cycles", "Pages"], &w));
     for cost in [500u64, 1500, 3000, 6000, 12000] {
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        rse_sys::loader::load_process(&mut cpu, &image);
-        let mut engine = Engine::new(RseConfig::default());
-        let mut ddt = Ddt::new(DdtConfig::default());
-        ddt.set_current_thread(0);
-        engine.install(Box::new(ddt));
-        engine.enable(ModuleId::DDT);
-        let mut os = Os::new(OsConfig {
-            num_requests: 60,
-            page_save_cycles: cost,
-            ..OsConfig::default()
-        });
-        let exit = os.run(&mut cpu, &mut engine, 2_000_000_000);
-        assert_eq!(exit, OsExit::Exited { code: 0 });
-        let pages = os.stats().pages_checkpointed;
+        let spec = MachineSpec {
+            modules: vec![ModuleSpec::Ddt(DdtConfig::default())],
+            os: Some(OsConfig {
+                num_requests: 60,
+                page_save_cycles: cost,
+                ..OsConfig::default()
+            }),
+            ..MachineSpec::default()
+        };
+        let Machine { cpu, os, .. } = run_clean(&image, spec, 2_000_000_000);
+        let pages = os
+            .expect("built with the guest OS")
+            .stats()
+            .pages_checkpointed;
         println!(
             "{}",
             row(
@@ -182,18 +180,8 @@ fn ddt_lag_model() {
         row(&["Lag modeled", "Deps logged", "Deps missed"], &w)
     );
     for lag in [false, true] {
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        rse_sys::loader::load_process(&mut cpu, &image);
-        let mut engine = Engine::new(RseConfig::default());
-        let ddt = Ddt::new(DdtConfig { model_log_lag: lag });
-        engine.install(Box::new(ddt));
-        engine.enable(ModuleId::DDT);
-        let mut os = Os::new(OsConfig::default());
-        let exit = os.run(&mut cpu, &mut engine, 10_000_000);
-        assert_eq!(exit, OsExit::Exited { code: 0 });
+        let ddt = ModuleSpec::Ddt(DdtConfig { model_log_lag: lag });
+        let engine = run_clean(&image, process(vec![ddt]), 10_000_000).engine;
         let ddt: &Ddt = engine.module_ref(ModuleId::DDT).unwrap();
         println!(
             "{}",
@@ -211,7 +199,7 @@ fn ddt_lag_model() {
 }
 
 fn rerand_interval_sweep() {
-    use rse_modules::mlr::{Mlr, MlrConfig};
+    use rse_modules::mlr::Mlr;
     use rse_sys::rerand::{maybe_rerandomize, RerandPlan};
     header("Ablation 5: runtime re-randomization interval (§4.1 extension)");
     // A long-running worker that follows the §4.1 pointer contract:
@@ -256,17 +244,13 @@ fn rerand_interval_sweep() {
     );
     let mut baseline_cycles = 0u64;
     for interval in [0u64, 200_000, 50_000, 10_000] {
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        rse_sys::loader::load_process(&mut cpu, &image);
-        let mut engine = Engine::new(RseConfig::default());
+        let mut m = Machine::build(&image, process(Vec::new()));
+        let Machine { cpu, engine, os } = &mut m;
+        let os = os.as_mut().expect("built with the guest OS");
         let mut mlr = Mlr::new(MlrConfig {
             seed: Some(17),
             ..MlrConfig::default()
         });
-        let mut os = Os::new(OsConfig::default());
         let mut plan = RerandPlan {
             interval,
             ptr_table: ptrtab,
@@ -276,14 +260,14 @@ fn rerand_interval_sweep() {
         let mut next_due = interval;
         let mut moves = 0u64;
         let exit = loop {
-            match cpu.run(&mut engine, 500_000_000) {
+            match cpu.run(engine, 500_000_000) {
                 rse_pipeline::StepEvent::Syscall => {
                     if interval != 0
-                        && maybe_rerandomize(&mut cpu, &mut mlr, &mut plan, &mut next_due).is_some()
+                        && maybe_rerandomize(cpu, &mut mlr, &mut plan, &mut next_due).is_some()
                     {
                         moves += 1;
                     }
-                    if let Some(e) = os.dispatch_pending_syscall(&mut cpu, &mut engine) {
+                    if let Some(e) = os.dispatch_pending_syscall(cpu, engine) {
                         break e;
                     }
                 }

@@ -8,12 +8,9 @@
 //! ```
 
 use rse_bench::{assemble_or_die, header, row};
-use rse_core::{Engine, RseConfig};
 use rse_isa::ModuleId;
-use rse_mem::{MemConfig, MemorySystem};
 use rse_modules::ddt::{Ddt, DdtConfig};
-use rse_pipeline::{Pipeline, PipelineConfig};
-use rse_sys::{Os, OsConfig, OsExit};
+use rse_sys::{Machine, MachineSpec, ModuleSpec, OsConfig, OsExit};
 use rse_workloads::server::{source, ServerParams};
 
 const REQUESTS: u64 = 100;
@@ -24,34 +21,28 @@ fn run(threads: u32, with_ddt: bool) -> (u64, u64) {
         ..ServerParams::default()
     };
     let image = assemble_or_die(&source(&p));
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    rse_sys::loader::load_process(&mut cpu, &image);
-    let mut engine = Engine::new(RseConfig::default());
-    if with_ddt {
-        let mut ddt = Ddt::new(DdtConfig::default());
-        ddt.set_current_thread(0);
-        engine.install(Box::new(ddt));
-        engine.enable(ModuleId::DDT);
-    }
-    let mut os = Os::new(OsConfig {
-        num_requests: REQUESTS,
-        ..OsConfig::default()
-    });
-    let exit = os.run(&mut cpu, &mut engine, 5_000_000_000);
-    assert_eq!(exit, OsExit::Exited { code: 0 }, "server did not finish");
-    assert_eq!(os.stats().responses_sent, REQUESTS);
-    let saved = if with_ddt {
-        engine
-            .module_ref::<Ddt>(ModuleId::DDT)
-            .map(|d| d.stats().pages_saved)
-            .unwrap_or(0)
-    } else {
-        0
+    let spec = MachineSpec {
+        modules: if with_ddt {
+            vec![ModuleSpec::Ddt(DdtConfig::default())]
+        } else {
+            Vec::new()
+        },
+        os: Some(OsConfig {
+            num_requests: REQUESTS,
+            ..OsConfig::default()
+        }),
+        ..MachineSpec::default()
     };
-    (cpu.stats().cycles, saved)
+    let mut m = Machine::build(&image, spec);
+    let exit = m.run(5_000_000_000);
+    assert_eq!(exit, OsExit::Exited { code: 0 }, "server did not finish");
+    let os = m.os.expect("the server runs under the guest OS");
+    assert_eq!(os.stats().responses_sent, REQUESTS);
+    let saved = m
+        .engine
+        .module_ref::<Ddt>(ModuleId::DDT)
+        .map_or(0, |d| d.stats().pages_saved);
+    (m.cpu.stats().cycles, saved)
 }
 
 fn main() {

@@ -15,27 +15,19 @@
 //! and a malformed flag value is named on stderr and exits 2.
 
 use rse_bench::numeric;
-use rse_core::{Engine, RseConfig};
 use rse_isa::asm::assemble;
 use rse_isa::{disasm, ModuleId};
-use rse_mem::{MemConfig, MemorySystem};
-use rse_modules::ahbm::{Ahbm, AhbmConfig};
-use rse_modules::ddt::{Ddt, DdtConfig};
-use rse_modules::icm::{Icm, IcmConfig};
-use rse_modules::mlr::{Mlr, MlrConfig};
-use rse_pipeline::{CheckPolicy, FetchFault, Pipeline, PipelineConfig};
-use rse_sys::{Os, OsConfig, OsExit};
+use rse_modules::ahbm::AhbmConfig;
+use rse_modules::ddt::DdtConfig;
+use rse_modules::icm::IcmConfig;
+use rse_modules::mlr::MlrConfig;
+use rse_pipeline::{CheckPolicy, FetchFault};
+use rse_sys::{Machine, MachineSpec, ModuleSpec, OsConfig, OsExit};
 use std::process::ExitCode;
 
 struct Options {
     path: String,
-    framework: bool,
-    icm: bool,
-    mlr: bool,
-    ddt: bool,
-    ahbm: bool,
-    check_control_flow: bool,
-    requests: u64,
+    spec: MachineSpec,
     max_cycles: u64,
     fault: Option<FetchFault>,
     show_disasm: bool,
@@ -61,29 +53,33 @@ fn fault(v: Option<String>) -> Result<FetchFault, String> {
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         path: String::new(),
-        framework: false,
-        icm: false,
-        mlr: false,
-        ddt: false,
-        ahbm: false,
-        check_control_flow: false,
-        requests: 0,
+        spec: MachineSpec {
+            framework: false,
+            os: Some(OsConfig::default()),
+            ..MachineSpec::default()
+        },
         max_cycles: 2_000_000_000,
         fault: None,
         show_disasm: false,
         show_stats: false,
     };
+    let spec = &mut opts.spec;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--framework" => opts.framework = true,
-            "--icm" => opts.icm = true,
-            "--mlr" => opts.mlr = true,
-            "--ddt" => opts.ddt = true,
-            "--ahbm" => opts.ahbm = true,
-            "--check-control-flow" => opts.check_control_flow = true,
+            "--framework" => spec.framework = true,
+            "--icm" => spec.modules.push(ModuleSpec::Icm(IcmConfig::default())),
+            "--mlr" => spec.modules.push(ModuleSpec::Mlr(MlrConfig::default())),
+            "--ddt" => spec.modules.push(ModuleSpec::Ddt(DdtConfig::default())),
+            "--ahbm" => spec.modules.push(ModuleSpec::Ahbm(AhbmConfig::default())),
+            "--check-control-flow" => spec.check_policy = CheckPolicy::ControlFlow,
             "--disasm" => opts.show_disasm = true,
             "--stats" => opts.show_stats = true,
-            "--requests" => opts.requests = numeric("--requests", args.next())?,
+            "--requests" => {
+                spec.os = Some(OsConfig {
+                    num_requests: numeric("--requests", args.next())?,
+                    ..OsConfig::default()
+                })
+            }
             "--max-cycles" => opts.max_cycles = numeric("--max-cycles", args.next())?,
             "--fault" => opts.fault = Some(fault(args.next())?),
             "--help" | "-h" => return Err(String::new()),
@@ -94,6 +90,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     if opts.path.is_empty() {
         return Err(String::new());
     }
+    // A module or CHECK insertion needs the framework attached.
+    spec.framework |= !spec.modules.is_empty() || spec.check_policy == CheckPolicy::ControlFlow;
     Ok(opts)
 }
 
@@ -126,48 +124,11 @@ fn main() -> ExitCode {
         print!("{}", disasm::disassemble(&image.text, image.text_base));
     }
 
-    let any_module = opts.icm || opts.mlr || opts.ddt || opts.ahbm;
-    let with_framework = opts.framework || any_module || opts.check_control_flow;
-    let mem = if with_framework {
-        MemConfig::with_framework()
-    } else {
-        MemConfig::baseline()
-    };
-    let mut pipe = PipelineConfig::default();
-    if opts.check_control_flow {
-        pipe.check_policy = CheckPolicy::ControlFlow;
-    }
-    let mut cpu = Pipeline::new(pipe, MemorySystem::new(mem));
-    rse_sys::loader::load_process(&mut cpu, &image);
-    cpu.set_fetch_fault(opts.fault);
-
-    let mut engine = Engine::new(RseConfig::default());
-    if opts.icm {
-        let mut icm = Icm::new(IcmConfig::default());
-        icm.install_for_control_flow(&image, &mut cpu.mem_mut().memory);
-        engine.install(Box::new(icm));
-        engine.enable(ModuleId::ICM);
-    }
-    if opts.mlr {
-        engine.install(Box::new(Mlr::new(MlrConfig::default())));
-        engine.enable(ModuleId::MLR);
-    }
-    if opts.ddt {
-        let mut ddt = Ddt::new(DdtConfig::default());
-        ddt.set_current_thread(0);
-        engine.install(Box::new(ddt));
-        engine.enable(ModuleId::DDT);
-    }
-    if opts.ahbm {
-        engine.install(Box::new(Ahbm::new(AhbmConfig::default())));
-        engine.enable(ModuleId::AHBM);
-    }
-
-    let mut os = Os::new(OsConfig {
-        num_requests: opts.requests,
-        ..OsConfig::default()
-    });
-    let exit = os.run(&mut cpu, &mut engine, opts.max_cycles);
+    let mut machine = Machine::build(&image, opts.spec);
+    machine.cpu.set_fetch_fault(opts.fault);
+    let exit = machine.run(opts.max_cycles);
+    let Machine { cpu, engine, os } = &machine;
+    let os = os.as_ref().expect("simrun runs its guest under the OS");
 
     for line in &os.strings {
         println!("{line}");
@@ -192,7 +153,7 @@ fn main() -> ExitCode {
         eprintln!("dl2 {}", m.dl2);
         eprintln!("syscalls             {}", os.stats().syscalls);
         eprintln!("context switches     {}", os.stats().context_switches);
-        if opts.ddt {
+        if engine.module_installed(ModuleId::DDT) {
             eprintln!("pages checkpointed   {}", os.stats().pages_checkpointed);
         }
         if let Some(cause) = engine.safe_mode() {

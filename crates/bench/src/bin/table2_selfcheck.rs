@@ -12,10 +12,10 @@
 
 use rse_bench::{assemble_or_die, header, row};
 use rse_core::testutil::{ScriptedBehavior, ScriptedModule};
-use rse_core::{Engine, IoqFault, RseConfig, SafeModeCause, Verdict};
+use rse_core::{IoqFault, RseConfig, SafeModeCause, Verdict};
 use rse_isa::ModuleId;
-use rse_mem::{MemConfig, MemorySystem};
-use rse_pipeline::{CheckPolicy, Pipeline, PipelineConfig, StepEvent};
+use rse_pipeline::CheckPolicy;
+use rse_sys::{Machine, MachineSpec, ModuleSpec, OsExit};
 
 /// A checked loop: every branch gets a blocking CHECK routed to the
 /// scripted module in the ICM slot.
@@ -36,28 +36,25 @@ struct Outcome {
 
 fn run_scenario(behavior: ScriptedBehavior, fault: Option<IoqFault>) -> Outcome {
     let image = assemble_or_die(SRC);
-    let mut cpu = Pipeline::new(
-        PipelineConfig {
-            check_policy: CheckPolicy::ControlFlow,
-            ..PipelineConfig::default()
-        },
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    cpu.load_image(&image);
-    let mut config = RseConfig::default();
-    config.watchdog.timeout = 2_000;
-    config.watchdog.burst_threshold = 6;
-    config.watchdog.premature_pass_threshold = 6;
-    let mut engine = Engine::new(config);
-    engine.install(Box::new(ScriptedModule::new(ModuleId::ICM, behavior)));
-    engine.enable(ModuleId::ICM);
-    engine.inject_ioq_fault(fault);
-    let ev = cpu.run(&mut engine, 5_000_000);
+    let mut rse = RseConfig::default();
+    rse.watchdog.timeout = 2_000;
+    rse.watchdog.burst_threshold = 6;
+    rse.watchdog.premature_pass_threshold = 6;
+    let module = ScriptedModule::new(ModuleId::ICM, behavior);
+    let spec = MachineSpec {
+        check_policy: CheckPolicy::ControlFlow,
+        rse,
+        modules: vec![ModuleSpec::Custom(Box::new(module))],
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(&image, spec);
+    m.engine.inject_ioq_fault(fault);
+    let exit = m.run(5_000_000);
     Outcome {
-        completed: ev == StepEvent::Halted,
-        correct: cpu.regs()[8] == 300,
-        safe_mode: engine.safe_mode(),
-        cycles: cpu.stats().cycles,
+        completed: exit == OsExit::Exited { code: 0 },
+        correct: m.cpu.regs()[8] == 300,
+        safe_mode: m.engine.safe_mode(),
+        cycles: m.cpu.stats().cycles,
     }
 }
 

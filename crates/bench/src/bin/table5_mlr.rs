@@ -9,22 +9,27 @@
 //! ```
 
 use rse_bench::{assemble_or_die, header, row};
-use rse_core::{Engine, RseConfig};
-use rse_isa::ModuleId;
-use rse_mem::{MemConfig, MemorySystem};
-use rse_modules::mlr::{Mlr, MlrConfig};
-use rse_pipeline::{Pipeline, PipelineConfig, StepEvent};
+use rse_isa::Image;
+use rse_modules::mlr::MlrConfig;
+use rse_pipeline::Pipeline;
+use rse_sys::{Machine, MachineSpec, ModuleSpec, OsExit};
 use rse_workloads::mlr_bench::{rse_source, trr_source, verify_relocation, MlrBenchParams};
+
+/// Runs `image` bare on the framework machine with `modules` to its
+/// `halt`, within `max_cycles`.
+fn run_to_halt(image: &Image, modules: Vec<ModuleSpec>, max_cycles: u64) -> Pipeline {
+    let spec = MachineSpec {
+        modules,
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(image, spec);
+    assert_eq!(m.run(max_cycles), OsExit::Exited { code: 0 });
+    m.cpu
+}
 
 fn run_trr(p: &MlrBenchParams) -> (u64, u64) {
     let image = assemble_or_die(&trr_source(p));
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    cpu.load_image(&image);
-    let mut engine = Engine::new(RseConfig::default());
-    assert_eq!(cpu.run(&mut engine, 100_000_000), StepEvent::Halted);
+    let cpu = run_to_halt(&image, Vec::new(), 100_000_000);
     assert_eq!(
         verify_relocation(cpu.mem(), &image, p),
         (true, true),
@@ -35,15 +40,8 @@ fn run_trr(p: &MlrBenchParams) -> (u64, u64) {
 
 fn run_rse(p: &MlrBenchParams) -> (u64, u64) {
     let image = assemble_or_die(&rse_source(p));
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    cpu.load_image(&image);
-    let mut engine = Engine::new(RseConfig::default());
-    engine.install(Box::new(Mlr::new(MlrConfig::default())));
-    engine.enable(ModuleId::MLR);
-    assert_eq!(cpu.run(&mut engine, 100_000_000), StepEvent::Halted);
+    let mlr = ModuleSpec::Mlr(MlrConfig::default());
+    let cpu = run_to_halt(&image, vec![mlr], 100_000_000);
     assert_eq!(
         verify_relocation(cpu.mem(), &image, p),
         (true, true),
@@ -84,20 +82,13 @@ fn pi_penalty() -> u64 {
         results:.space 12
     "#;
     let run = |src: &str| -> u64 {
-        let image = assemble_or_die(src);
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        cpu.load_image(&image);
-        let mut engine = Engine::new(RseConfig::default());
-        engine.install(Box::new(Mlr::new(MlrConfig {
+        let mlr = ModuleSpec::Mlr(MlrConfig {
             seed: Some(7),
             ..MlrConfig::default()
-        })));
-        engine.enable(ModuleId::MLR);
-        assert_eq!(cpu.run(&mut engine, 1_000_000), StepEvent::Halted);
-        cpu.stats().cycles
+        });
+        run_to_halt(&assemble_or_die(src), vec![mlr], 1_000_000)
+            .stats()
+            .cycles
     };
     run(with) - run(without)
 }

@@ -17,13 +17,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rse_core::{Engine, RseConfig};
 use rse_isa::asm::assemble;
-use rse_isa::{Image, ModuleId};
-use rse_mem::{MemConfig, MemStats, MemorySystem};
-use rse_modules::icm::{Icm, IcmConfig};
-use rse_pipeline::{CheckPolicy, Pipeline, PipelineConfig, PipelineStats};
-use rse_sys::{Os, OsConfig, OsExit};
+use rse_isa::Image;
+use rse_mem::MemStats;
+use rse_modules::icm::IcmConfig;
+use rse_pipeline::{CheckPolicy, PipelineStats};
+use rse_sys::{Machine, MachineSpec, ModuleSpec, OsConfig, OsExit};
 use std::process::ExitCode;
 
 /// Everything measured from one simulation run.
@@ -58,6 +57,29 @@ pub enum MachineConfig {
     FrameworkIcm,
 }
 
+impl MachineConfig {
+    /// The machine this configuration names, running its workload as a
+    /// process under the guest OS.
+    pub fn spec(self) -> MachineSpec {
+        let (framework, check_policy, modules) = match self {
+            MachineConfig::Baseline => (false, CheckPolicy::None, Vec::new()),
+            MachineConfig::Framework => (true, CheckPolicy::None, Vec::new()),
+            MachineConfig::FrameworkIcm => (
+                true,
+                CheckPolicy::ControlFlow,
+                vec![ModuleSpec::Icm(IcmConfig::default())],
+            ),
+        };
+        MachineSpec {
+            framework,
+            check_policy,
+            modules,
+            os: Some(OsConfig::default()),
+            ..MachineSpec::default()
+        }
+    }
+}
+
 /// Runs `image` (a single-threaded workload using only OS-proxied
 /// syscalls) under the given machine configuration.
 ///
@@ -65,32 +87,12 @@ pub enum MachineConfig {
 ///
 /// Panics if the program does not run to completion.
 pub fn run_workload(image: &Image, machine: MachineConfig, max_cycles: u64) -> SimResult {
-    let (mem_config, pipe_config) = match machine {
-        MachineConfig::Baseline => (MemConfig::baseline(), PipelineConfig::default()),
-        MachineConfig::Framework => (MemConfig::with_framework(), PipelineConfig::default()),
-        MachineConfig::FrameworkIcm => (
-            MemConfig::with_framework(),
-            PipelineConfig {
-                check_policy: CheckPolicy::ControlFlow,
-                ..PipelineConfig::default()
-            },
-        ),
-    };
-    let mut cpu = Pipeline::new(pipe_config, MemorySystem::new(mem_config));
-    rse_sys::loader::load_process(&mut cpu, image);
-    let mut engine = Engine::new(RseConfig::default());
-    if machine == MachineConfig::FrameworkIcm {
-        let mut icm = Icm::new(IcmConfig::default());
-        icm.install_for_control_flow(image, &mut cpu.mem_mut().memory);
-        engine.install(Box::new(icm));
-        engine.enable(ModuleId::ICM);
-    }
-    let mut os = Os::new(OsConfig::default());
-    let exit = os.run(&mut cpu, &mut engine, max_cycles);
+    let mut m = Machine::build(image, machine.spec());
+    let exit = m.run(max_cycles);
     assert_eq!(exit, OsExit::Exited { code: 0 }, "workload did not finish");
     SimResult {
-        pipeline: cpu.stats(),
-        mem: cpu.mem().stats(),
+        pipeline: m.cpu.stats(),
+        mem: m.cpu.mem().stats(),
     }
 }
 

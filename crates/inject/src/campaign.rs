@@ -5,16 +5,16 @@
 //!
 //! 1. executes (or reuses) the **golden reference** for the workload and
 //!    derives the [`RunProfile`] the sampler scales to,
-//! 2. runs one [`Trial`] through [`run_trial`]: a fresh harness, **every
-//!    mapped page checkpointed** into a [`CheckpointStore`] (the
-//!    system-software shadow of the OS SavePage store), the sampled
-//!    faults armed, and a run under a cycle budget,
+//! 2. runs one [`Trial`] through [`run_trial`]: a freshly built machine
+//!    ([`Machine`]), the sampled faults armed, and a run under a cycle
+//!    budget,
 //! 3. classifies the end state against the golden result — `Masked`,
 //!    `SDC`, `DetectedByModule`, `WatchdogTimeout`, `CrashTrap`, `Hang`,
 //! 4. when a detection fired but the architectural result diverged,
-//!    exercises the **recovery path** through [`rerun`]: roll memory back
-//!    from the checkpoint store, reset the context to the process entry,
-//!    and re-execute; a re-run that reaches the golden digest is recorded
+//!    exercises the **recovery path** through [`rerun`]: roll back to
+//!    the pre-run image by re-executing on a freshly built machine,
+//!    which holds exactly the pre-run pages, the entry context and
+//!    clean caches; a re-run that reaches the golden digest is recorded
 //!    as `recovered:checkpoint-rollback`, anything else as a safe-mode
 //!    halt with the recorded cause.
 //!
@@ -33,18 +33,18 @@ use crate::snapshot::Fnv;
 use crate::workload::{by_name, corpus, Harness, Workload};
 use rse_core::{Engine, RseConfig, WatchdogConfig};
 use rse_isa::asm::assemble;
-use rse_isa::layout::{page_base, STACK_BASE};
-use rse_isa::{Image, ModuleId, Reg};
-use rse_mem::{MemConfig, MemorySystem, SparseMemory};
-use rse_modules::ahbm::{Ahbm, AhbmConfig};
-use rse_modules::ddt::{Ddt, DdtConfig};
+use rse_isa::layout::page_base;
+use rse_isa::{Image, ModuleId};
+use rse_mem::SparseMemory;
+use rse_modules::ahbm::AhbmConfig;
+use rse_modules::ddt::DdtConfig;
 use rse_modules::dsm::Dsm;
 use rse_modules::icm::{Icm, IcmConfig};
-use rse_modules::mlr::{Mlr, MlrConfig};
-use rse_pipeline::{CheckPolicy, CpuContext, Pipeline, PipelineConfig, StepEvent};
+use rse_modules::mlr::MlrConfig;
+use rse_pipeline::{CheckPolicy, Pipeline};
 use rse_support::rng::{fnv1a64, splitmix64};
 use rse_sys::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
-use rse_sys::{loader, Os, OsConfig, OsExit};
+use rse_sys::{Machine, MachineSpec, ModuleSpec, OsConfig, OsExit};
 use std::collections::BTreeMap;
 
 /// Cycle budget for golden reference runs.
@@ -85,181 +85,100 @@ pub fn run_seed(base_seed: u64, name: &str, model_index: u64, run: u32) -> u64 {
     splitmix64(&mut s)
 }
 
-/// A ready-to-run simulation harness: pipeline + RSE engine, built per
-/// the workload's [`Harness`] flavor (with the harness's primary module
-/// and the MLR/AHBM bystanders installed for non-bare flavors). Public so
-/// the fleet simulator (`rse-fleet`) can stamp out one full
-/// pipeline+RSE instance per node from the same corpus machinery.
-pub struct BuiltHarness {
-    /// The simulated processor, image loaded.
-    pub cpu: Pipeline,
-    /// The RSE engine (empty for bare workloads).
-    pub engine: Engine,
-}
-
-/// Builds the harness for `w` with the given watchdog cycle budget.
-/// Equivalent to [`build_harness_seeded`] with no per-run MLR seed —
-/// [`Harness::MlrOs`] workloads then randomize with a fixed seed derived
-/// from the workload name, so golden references stay reproducible.
-pub fn build_harness(w: &Workload, image: &Image, cycle_budget: u64) -> BuiltHarness {
-    build_harness_seeded(w, image, cycle_budget, None)
-}
-
-/// Builds the harness for `w`, threading a per-run MLR layout seed into
-/// [`Harness::MlrOs`] flavors (the adversarial campaigns randomize the
-/// victim's layout fresh every run; `None` falls back to the pinned
-/// per-workload seed the golden reference uses). The seed is ignored by
-/// every other harness flavor.
-pub fn build_harness_seeded(
-    w: &Workload,
-    image: &Image,
-    cycle_budget: u64,
-    mlr_seed: Option<u64>,
-) -> BuiltHarness {
-    let rse_cfg = RseConfig {
-        watchdog: WatchdogConfig {
-            cycle_budget,
-            ..WatchdogConfig::default()
-        },
-        ..RseConfig::default()
+/// The machine a workload's [`Harness`] flavor names, with the given
+/// watchdog cycle budget. An MLR-guarded flavor randomizes with
+/// `mlr_seed`, or with a seed pinned to the workload name when `None`
+/// (the golden reference's), so golden references stay reproducible.
+fn harness_spec(w: &Workload, cycle_budget: u64, mlr_seed: Option<u64>) -> MachineSpec {
+    // Every module-bearing flavor also carries the MLR and the AHBM.
+    // With three installed slots, one quarantined-or-disabled module
+    // stays below the half-installed escalation threshold: the campaign
+    // then observes genuine per-module containment instead of an
+    // immediate global trip.
+    let with_bystanders = |primary| {
+        vec![
+            primary,
+            ModuleSpec::Mlr(MlrConfig::default()),
+            ModuleSpec::Ahbm(AhbmConfig::default()),
+        ]
     };
-    match w.harness {
-        Harness::Bare => {
-            let mut cpu = Pipeline::new(
-                PipelineConfig::default(),
-                MemorySystem::new(MemConfig::with_framework()),
-            );
-            cpu.load_image(image);
-            BuiltHarness {
-                cpu,
-                engine: Engine::new(rse_cfg),
-            }
-        }
-        Harness::Dsm => {
-            let mut cpu = Pipeline::new(
-                PipelineConfig::default(),
-                MemorySystem::new(MemConfig::with_framework()),
-            );
-            cpu.load_image(image);
-            let mut dsm = Dsm::new();
-            dsm.install_signatures(image);
-            let mut engine = Engine::new(rse_cfg);
-            engine.install(Box::new(dsm));
-            engine.enable(ModuleId::DSM);
-            install_bystanders(&mut engine);
-            BuiltHarness { cpu, engine }
-        }
-        Harness::Icm => {
-            let mut cpu = Pipeline::new(
-                PipelineConfig {
-                    check_policy: CheckPolicy::ControlFlow,
-                    ..PipelineConfig::default()
-                },
-                MemorySystem::new(MemConfig::with_framework()),
-            );
-            cpu.load_image(image);
-            let mut icm = Icm::new(IcmConfig::default());
-            icm.install_for_control_flow(image, &mut cpu.mem_mut().memory);
-            let mut engine = Engine::new(rse_cfg);
-            engine.install(Box::new(icm));
-            engine.enable(ModuleId::ICM);
-            install_bystanders(&mut engine);
-            BuiltHarness { cpu, engine }
-        }
-        Harness::DdtOs | Harness::NxOs => {
-            let mut cpu = Pipeline::new(
-                PipelineConfig::default(),
-                MemorySystem::new(MemConfig::with_framework()),
-            );
-            loader::load_process(&mut cpu, image);
-            if w.harness == Harness::NxOs {
-                // §4.2: the DDT marks non-code pages non-executable; the
-                // pipeline enforces the range at commit.
-                cpu.set_exec_range(Some((image.text_base, image.text_end())));
-            }
-            let mut ddt = Ddt::new(DdtConfig::default());
-            ddt.set_current_thread(0);
-            let mut engine = Engine::new(rse_cfg);
-            engine.install(Box::new(ddt));
-            engine.enable(ModuleId::DDT);
-            install_bystanders(&mut engine);
-            BuiltHarness { cpu, engine }
-        }
+    let guest_os = Some(OsConfig::default());
+    let (check_policy, modules, os) = match w.harness {
+        Harness::Bare => (CheckPolicy::None, Vec::new(), None),
+        Harness::Dsm => (CheckPolicy::None, with_bystanders(ModuleSpec::Dsm), None),
+        Harness::Icm => (
+            CheckPolicy::ControlFlow,
+            with_bystanders(ModuleSpec::Icm(IcmConfig::default())),
+            None,
+        ),
+        Harness::DdtOs | Harness::NxOs => (
+            CheckPolicy::None,
+            with_bystanders(ModuleSpec::Ddt(DdtConfig::default())),
+            guest_os,
+        ),
         Harness::MlrOs => {
-            let mut cpu = Pipeline::new(
-                PipelineConfig::default(),
-                MemorySystem::new(MemConfig::with_framework()),
-            );
-            loader::load_process(&mut cpu, image);
             // The golden reference pins the layout seed to the workload
             // name; adversarial runs re-seed per run. `| 1` keeps the
             // seed nonzero so `Some(0)` never aliases "no entropy".
             let seed = mlr_seed.unwrap_or_else(|| fnv1a64(w.name.as_bytes())) | 1;
-            let mut engine = Engine::new(rse_cfg);
-            engine.install(Box::new(Mlr::new(MlrConfig {
+            let mlr = MlrConfig {
                 seed: Some(seed),
                 ..MlrConfig::default()
-            })));
-            engine.enable(ModuleId::MLR);
-            engine.install(Box::new(Ahbm::new(AhbmConfig::default())));
-            engine.enable(ModuleId::AHBM);
-            engine.install(Box::new(Icm::new(IcmConfig::default())));
-            engine.enable(ModuleId::ICM);
-            BuiltHarness { cpu, engine }
+            };
+            let modules = vec![
+                ModuleSpec::Mlr(mlr),
+                ModuleSpec::Ahbm(AhbmConfig::default()),
+                ModuleSpec::Icm(IcmConfig::default()),
+            ];
+            (CheckPolicy::None, modules, guest_os)
         }
-        Harness::OsBare => {
-            // The undefended twin of `MlrOs`: with no MLR installed the
-            // blocking `chk mlr` ops pass straight through and the
-            // result words stay zero.
-            let mut cpu = Pipeline::new(
-                PipelineConfig::default(),
-                MemorySystem::new(MemConfig::with_framework()),
-            );
-            loader::load_process(&mut cpu, image);
-            BuiltHarness {
-                cpu,
-                engine: Engine::new(rse_cfg),
-            }
-        }
+        // The undefended twin of `MlrOs`: with no MLR installed the
+        // blocking `chk mlr` ops pass straight through and the result
+        // words stay zero.
+        Harness::OsBare => (CheckPolicy::None, Vec::new(), guest_os),
+    };
+    MachineSpec {
+        framework: true,
+        check_policy,
+        rse: RseConfig {
+            watchdog: WatchdogConfig {
+                cycle_budget,
+                ..WatchdogConfig::default()
+            },
+            ..RseConfig::default()
+        },
+        modules,
+        os,
     }
 }
 
-/// Installs the MLR and AHBM alongside the harness's primary module so
-/// every non-bare harness carries three modules. With three installed
-/// slots, one quarantined-or-disabled module stays below the
-/// half-installed escalation threshold — the campaign then observes
-/// genuine per-module containment instead of an immediate global trip.
-fn install_bystanders(engine: &mut Engine) {
-    engine.install(Box::new(Mlr::new(MlrConfig::default())));
-    engine.enable(ModuleId::MLR);
-    engine.install(Box::new(Ahbm::new(AhbmConfig::default())));
-    engine.enable(ModuleId::AHBM);
+/// Builds the machine for `w` with the given watchdog cycle budget and
+/// the golden reference's MLR layout seed. Public so the fleet
+/// simulator (`rse-fleet`) can stamp out one full pipeline+RSE instance
+/// per node from the same corpus machinery.
+pub fn build_harness(w: &Workload, image: &Image, cycle_budget: u64) -> Machine {
+    build_harness_seeded(w, image, cycle_budget, None)
 }
 
-/// How a bare/ICM drive loop ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RawEnd {
-    /// The guest committed `halt`.
-    Halted,
-    /// The guest trapped in a way a bare harness cannot service.
-    Crash(&'static str),
-    /// The cycle budget ran out.
-    TimedOut,
-}
-
-/// Runs a bare/ICM harness until it halts, traps, or exhausts the
-/// absolute cycle `deadline`.
-pub fn drive(cpu: &mut Pipeline, engine: &mut Engine, deadline: u64) -> RawEnd {
-    let remaining = deadline.saturating_sub(cpu.now());
-    if remaining == 0 {
-        return RawEnd::TimedOut;
+/// Builds the machine for `w`, threading a per-run MLR layout seed into
+/// [`Harness::MlrOs`] flavors (the adversarial campaigns randomize the
+/// victim's layout fresh every run; `None` falls back to the pinned
+/// per-workload seed the golden reference uses). The seed is ignored by
+/// every other harness flavor.
+fn build_harness_seeded(
+    w: &Workload,
+    image: &Image,
+    cycle_budget: u64,
+    mlr_seed: Option<u64>,
+) -> Machine {
+    let mut m = Machine::build(image, harness_spec(w, cycle_budget, mlr_seed));
+    if w.harness == Harness::NxOs {
+        // §4.2: the DDT marks non-code pages non-executable; the
+        // pipeline enforces the range at commit.
+        m.cpu
+            .set_exec_range(Some((image.text_base, image.text_end())));
     }
-    match cpu.run(engine, remaining) {
-        StepEvent::Halted => RawEnd::Halted,
-        StepEvent::Timeout => RawEnd::TimedOut,
-        StepEvent::Syscall => RawEnd::Crash("unexpected syscall trap"),
-        StepEvent::Exception(_) => RawEnd::Crash("unexpected coprocessor exception"),
-    }
+    m
 }
 
 /// Which checker module, if any, flagged a mismatch this run: the ICM's
@@ -337,10 +256,15 @@ fn sampler_profile(w: &Workload, image: &Image, cpu: &Pipeline, engine: &Engine)
 pub fn reference(w: &Workload) -> RefState {
     let image = assemble(w.source).expect("corpus workload assembles");
     let mut b = build_harness(w, &image, u64::MAX);
-    let (end, recovered) = run_guest(w, &mut b, REF_BUDGET);
-    let (digest, output) = match end {
-        TrialEnd::Bare(end) => {
-            assert_eq!(end, RawEnd::Halted, "golden run of {} must halt", w.name);
+    let exit = b.run(REF_BUDGET);
+    assert_eq!(
+        exit,
+        OsExit::Exited { code: 0 },
+        "golden run of {} must exit cleanly",
+        w.name
+    );
+    let (digest, output) = match &b.os {
+        None => {
             assert!(
                 b.engine.safe_mode().is_none(),
                 "golden run of {} tripped the watchdog",
@@ -348,19 +272,14 @@ pub fn reference(w: &Workload) -> RefState {
             );
             (result_digest(w, &b.cpu, &image), Vec::new())
         }
-        TrialEnd::Os(exit, output) => {
+        Some(os) => {
             assert_eq!(
-                exit,
-                OsExit::Exited { code: 0 },
-                "golden run of {} must exit cleanly",
-                w.name
-            );
-            assert!(
-                !recovered,
+                os.stats().recoveries,
+                0,
                 "golden run of {} must not need recovery",
                 w.name
             );
-            (0, output)
+            (0, os.output.clone())
         }
     };
     RefState {
@@ -371,8 +290,7 @@ pub fn reference(w: &Workload) -> RefState {
 }
 
 /// System-software pre-run checkpoint: every mapped page snapshotted
-/// into a [`CheckpointStore`], in sorted-page order. Every [`Trial`]
-/// carries one, and [`rerun`] restores from it.
+/// into a [`CheckpointStore`], in sorted-page order.
 pub struct PreRunCheckpoints {
     /// The checkpoint store holding every pre-run page image.
     pub store: CheckpointStore,
@@ -403,45 +321,48 @@ pub fn fault_budget(r: &RefState) -> u64 {
 
 /// How a trial's guest ended.
 #[derive(Debug)]
-pub enum TrialEnd {
-    /// A bare/ICM/DSM harness's drive loop ended.
-    Bare(RawEnd),
-    /// The guest OS returned; the guest's output rides along.
-    Os(OsExit, Vec<i32>),
+pub struct TrialEnd {
+    /// The machine's exit ([`Machine::run`]).
+    pub exit: OsExit,
+    /// What the guest printed under the guest OS (empty on a bare
+    /// machine).
+    pub output: Vec<i32>,
 }
 
 impl TrialEnd {
+    /// Runs `m`'s guest for at most `budget` cycles.
+    fn run(m: &mut Machine, budget: u64) -> TrialEnd {
+        let exit = m.run(budget);
+        let output = m.os.as_ref().map_or_else(Vec::new, |os| os.output.clone());
+        TrialEnd { exit, output }
+    }
+
     /// Whether the cycle budget ran out.
     pub fn hung(&self) -> bool {
-        matches!(
-            self,
-            TrialEnd::Bare(RawEnd::TimedOut) | TrialEnd::Os(OsExit::Timeout, _)
-        )
+        self.exit == OsExit::Timeout
     }
 
     /// Whether the guest hung, trapped, or was killed.
     pub fn died(&self) -> bool {
-        self.hung()
-            || matches!(
-                self,
-                TrialEnd::Bare(RawEnd::Crash(_)) | TrialEnd::Os(OsExit::ProcessKilled { .. }, _)
-            )
+        matches!(self.exit, OsExit::Timeout | OsExit::ProcessKilled { .. })
     }
 }
 
-/// What one armed run observed, plus the harness it ran on. Both
-/// campaign engines map these facts to their own outcome names.
+/// What one armed run observed, plus the machine it ran on. Both
+/// campaign engines map these facts to their own outcome names. A
+/// rollback needs nothing from it: [`rerun`] re-executes on a freshly
+/// built machine, which is the pre-run image.
 pub struct Trial {
     /// How the guest ended.
     pub end: TrialEnd,
     /// Whether the guest produced the golden result: the golden digest
-    /// on a bare harness, a clean exit with the golden output under the
+    /// on a bare machine, a clean exit with the golden output under the
     /// guest OS.
     pub golden: bool,
     /// Cycles the run consumed.
     pub cycles: u64,
     /// The module that detected the fault: an ICM or DSM mismatch on a
-    /// bare harness; the DDT when the guest OS recovered a crash or the
+    /// bare machine; the DDT when the guest OS recovered a crash or the
     /// pipeline latched an NX violation.
     pub detected: Option<ModuleId>,
     /// The harness's target module, when the health machine took it
@@ -451,46 +372,25 @@ pub struct Trial {
     pub safe_mode: bool,
     /// Module quarantines during the run.
     pub quarantines: u64,
-    /// The pre-run checkpoints a [`rerun`] restores.
-    pub pre: PreRunCheckpoints,
-    /// The harness after the run (the adaptive chain reads the MLR's
+    /// The machine after the run (the adaptive chain reads the MLR's
     /// published layout words from its memory).
-    pub harness: BuiltHarness,
+    pub harness: Machine,
 }
 
-/// Runs a built harness's guest until it ends: the drive loop for the
-/// bare/ICM/DSM flavors, a fresh guest OS for the others. The flag says
-/// whether the guest OS ran a crash recovery.
-fn run_guest(w: &Workload, b: &mut BuiltHarness, budget: u64) -> (TrialEnd, bool) {
-    match w.harness {
-        Harness::Bare | Harness::Icm | Harness::Dsm => (
-            TrialEnd::Bare(drive(&mut b.cpu, &mut b.engine, budget)),
-            false,
-        ),
-        Harness::DdtOs | Harness::MlrOs | Harness::OsBare | Harness::NxOs => {
-            let mut os = Os::new(OsConfig::default());
-            let exit = os.run(&mut b.cpu, &mut b.engine, budget);
-            let recovered = os.stats().recoveries > 0;
-            (TrialEnd::Os(exit, os.output), recovered)
+/// Whether a guest's end on `m` reproduces the golden reference `r`.
+fn is_golden(w: &Workload, image: &Image, r: &RefState, m: &Machine, end: &TrialEnd) -> bool {
+    end.exit == (OsExit::Exited { code: 0 })
+        && match m.os {
+            None => result_digest(w, &m.cpu, image) == r.digest,
+            Some(_) => end.output == r.output,
         }
-    }
 }
 
-/// Whether a guest's end reproduces the golden reference `r`.
-fn is_golden(w: &Workload, image: &Image, r: &RefState, cpu: &Pipeline, end: &TrialEnd) -> bool {
-    match end {
-        TrialEnd::Bare(RawEnd::Halted) => result_digest(w, cpu, image) == r.digest,
-        TrialEnd::Os(OsExit::Exited { code: 0 }, output) => *output == r.output,
-        _ => false,
-    }
-}
-
-/// Runs one armed trial: builds the harness for `w` (threading
-/// `mlr_seed` into MLR-guarded flavors), checkpoints every mapped page,
-/// arms `plan`, and runs the guest under the fault budget of `r`,
-/// latching the watchdog's one-shot hang detector when the budget runs
-/// out. Every faulted or attacked run of both campaign engines goes
-/// through here.
+/// Runs one armed trial: builds the machine for `w` (threading
+/// `mlr_seed` into MLR-guarded flavors), arms `plan`, and runs the guest
+/// under the fault budget of `r`, latching the watchdog's one-shot hang
+/// detector when the budget runs out. Every faulted or attacked run of
+/// both campaign engines goes through here.
 pub fn run_trial(
     w: &Workload,
     image: &Image,
@@ -500,21 +400,22 @@ pub fn run_trial(
 ) -> Trial {
     let budget = fault_budget(r);
     let mut harness = build_harness_seeded(w, image, budget, mlr_seed);
-    let pre = capture_checkpoints(&harness.cpu.mem().memory);
     plan.arm(&mut harness.cpu, &mut harness.engine);
-    let (end, os_recovered) = run_guest(w, &mut harness, budget);
+    let end = TrialEnd::run(&mut harness, budget);
     if end.hung() {
         harness.engine.poll_hang(harness.cpu.now());
     }
-    let BuiltHarness { cpu, engine } = &harness;
-    let detected = match end {
-        TrialEnd::Bare(_) => detecting_module(engine),
+    let Machine { cpu, engine, os } = &harness;
+    let detected = match os {
+        None => detecting_module(engine),
         // `OsExit` alone cannot tell an NX trap apart from a clean exit,
         // so read the pipeline's latch directly.
-        TrialEnd::Os(..) => (cpu.nx_violation().is_some() || os_recovered).then_some(ModuleId::DDT),
+        Some(os) => {
+            (cpu.nx_violation().is_some() || os.stats().recoveries > 0).then_some(ModuleId::DDT)
+        }
     };
     Trial {
-        golden: is_golden(w, image, r, cpu, &end),
+        golden: is_golden(w, image, r, &harness, &end),
         cycles: cpu.now(),
         detected,
         down: w
@@ -524,7 +425,6 @@ pub fn run_trial(
         safe_mode: engine.safe_mode().is_some(),
         quarantines: engine.stats().quarantines,
         end,
-        pre,
         harness,
     }
 }
@@ -543,15 +443,12 @@ pub struct Strike<'a> {
     pub max_rerun: u32,
 }
 
-/// Rolls a trial back to its pre-run checkpoints and re-executes it on a
-/// fresh harness of the same flavor (same MLR layout seed, so the re-run
-/// reproduces the trial's randomization decisions), judged against the
-/// golden reference `r`.
-///
-/// Memory is repopulated *strictly from the checkpoint store*: a missing
-/// page means recovery has insufficient information, exactly the
-/// §4.2.2 whole-process-termination case. Caches are invalidated and the
-/// context is reset to the process entry.
+/// Rolls a trial back to its pre-run image and re-executes it, judged
+/// against the golden reference `r`. The rollback is the re-execution:
+/// a freshly built machine of the same flavor from the same image (same
+/// MLR layout seed, so the re-run reproduces the trial's randomization
+/// decisions) holds exactly the pre-run pages, the entry context and
+/// clean caches.
 ///
 /// Without a `strike`, one re-execution runs: reaching the golden result
 /// records `recovered:checkpoint-rollback`, anything else a safe halt
@@ -565,7 +462,6 @@ pub fn rerun(
     w: &Workload,
     image: &Image,
     r: &RefState,
-    pre: &PreRunCheckpoints,
     mlr_seed: Option<u64>,
     strike: Option<Strike<'_>>,
 ) -> RecoveryStatus {
@@ -574,29 +470,11 @@ pub fn rerun(
     let mut last = String::new();
     for attempt in 1..=attempts {
         let mut b = build_harness_seeded(w, image, budget, mlr_seed);
-        for &page in &pre.pages {
-            let Some(cp) = pre.store.earliest_for(page) else {
-                return RecoveryStatus::FailedSafeHalt {
-                    cause: format!("missing checkpoint for page {page:#x}"),
-                };
-            };
-            b.cpu
-                .mem_mut()
-                .memory
-                .restore_page(page_base(page), &cp.data);
-        }
-        b.cpu.mem_mut().invalidate_caches();
-        let mut regs = [0u32; 32];
-        regs[Reg::SP.index()] = STACK_BASE - 16;
-        b.cpu.set_context(&CpuContext {
-            regs,
-            pc: image.entry,
-        });
         if let Some(s) = strike.filter(|s| attempt <= s.persist) {
             s.plan.arm(&mut b.cpu, &mut b.engine);
         }
-        let (end, _) = run_guest(w, &mut b, budget);
-        if is_golden(w, image, r, &b.cpu, &end) {
+        let end = TrialEnd::run(&mut b, budget);
+        if is_golden(w, image, r, &b, &end) {
             return RecoveryStatus::Succeeded {
                 mechanism: match strike {
                     Some(_) => retry_mechanism(attempt),
@@ -604,17 +482,13 @@ pub fn rerun(
                 },
             };
         }
-        last = match end {
-            TrialEnd::Bare(RawEnd::Halted) | TrialEnd::Os(OsExit::Exited { code: 0 }, _) => {
-                "re-executed state diverged from golden".into()
+        last = match (&b.os, end.exit) {
+            (_, OsExit::Exited { code: 0 }) => "re-executed state diverged from golden".into(),
+            (None, OsExit::Timeout) => "re-execution after rollback did not complete".into(),
+            (None, OsExit::ProcessKilled { reason }) => {
+                format!("re-execution after rollback crashed: {reason}")
             }
-            TrialEnd::Bare(RawEnd::TimedOut) => {
-                "re-execution after rollback did not complete".into()
-            }
-            TrialEnd::Bare(RawEnd::Crash(why)) => {
-                format!("re-execution after rollback crashed: {why}")
-            }
-            TrialEnd::Os(other, _) => format!("re-execution after rollback ended with {other:?}"),
+            (_, other) => format!("re-execution after rollback ended with {other:?}"),
         };
     }
     let cause = match strike {
@@ -664,21 +538,21 @@ pub fn run_one_with(
     } else {
         Outcome::Sdc
     };
-    let recovery = match (outcome, &t.end) {
-        (Outcome::Masked | Outcome::Sdc, _) => RecoveryStatus::NotNeeded,
-        (Outcome::Degraded(_), _) if t.golden => RecoveryStatus::Succeeded {
+    let TrialEnd { exit, output } = &t.end;
+    let under_os = t.harness.os.is_some();
+    let recovery = match outcome {
+        Outcome::Masked | Outcome::Sdc => RecoveryStatus::NotNeeded,
+        Outcome::Degraded(_) if t.golden => RecoveryStatus::Succeeded {
             mechanism: "quarantine-nop-mux",
         },
-        (Outcome::Contained, _) if t.golden => RecoveryStatus::Succeeded {
+        Outcome::Contained if t.golden => RecoveryStatus::Succeeded {
             mechanism: "probe-re-enable",
         },
         // Under the guest OS, recovery is the OS's own (DDT-driven).
-        (Outcome::Degraded(_) | Outcome::Contained, TrialEnd::Os(exit, output)) => {
-            RecoveryStatus::FailedSafeHalt {
-                cause: format!("degraded-mode run diverged (output {output:?}, exit {exit:?})"),
-            }
-        }
-        (Outcome::DetectedByModule(_), TrialEnd::Os(exit, output)) => {
+        Outcome::Degraded(_) | Outcome::Contained if under_os => RecoveryStatus::FailedSafeHalt {
+            cause: format!("degraded-mode run diverged (output {output:?}, exit {exit:?})"),
+        },
+        Outcome::DetectedByModule(_) if under_os => {
             if *exit == (OsExit::Exited { code: 0 }) && output == DDT_RECOVERED_OUTPUT {
                 RecoveryStatus::Succeeded {
                     mechanism: "ddt-checkpoint-rollback",
@@ -689,7 +563,7 @@ pub fn run_one_with(
                 }
             }
         }
-        (_, TrialEnd::Os(..)) => RecoveryStatus::NotNeeded,
+        _ if under_os => RecoveryStatus::NotNeeded,
         _ if t.golden => RecoveryStatus::Succeeded {
             mechanism: if t.detected.is_some() {
                 "flush-refetch"
@@ -697,7 +571,7 @@ pub fn run_one_with(
                 "safe-mode-decouple"
             },
         },
-        _ => rerun(w, &image, r, &t.pre, None, None),
+        _ => rerun(w, &image, r, None, None),
     };
     RunRecord {
         workload: w.name,

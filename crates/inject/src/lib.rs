@@ -25,8 +25,9 @@
 //! * [`campaign`] — the runner: golden reference execution, the one
 //!   armed-trial driver ([`run_trial`]) both campaign engines share,
 //!   classification against the golden state, and the one recovery path
-//!   ([`rerun`]: checkpoint rollback + re-execution when a detection
-//!   fired but the architectural state diverged).
+//!   ([`rerun`]: rollback to the pre-run image, a re-execution on a
+//!   freshly built machine, when a detection fired but the architectural
+//!   state diverged).
 //!
 //! Everything is deterministic: same spec + same base seed → byte-for-byte
 //! identical JSONL, on any host. The only randomness source is the
@@ -54,11 +55,10 @@ pub mod snapshot;
 pub mod workload;
 
 pub use campaign::{
-    build_harness, build_harness_seeded, capture_checkpoints, derive_seed, drive, fault_budget,
-    reference, rerun, result_digest, result_digest_parts, run_campaign, run_campaign_with,
-    run_cells, run_one, run_one_by_name, run_one_with, run_seed, run_sharded, run_trial,
-    BuiltHarness, CampaignCell, CampaignOptions, CampaignSpec, PreRunCheckpoints, RawEnd, RefState,
-    Strike, Trial, TrialEnd,
+    build_harness, capture_checkpoints, derive_seed, fault_budget, reference, rerun, result_digest,
+    result_digest_parts, run_campaign, run_campaign_with, run_cells, run_one, run_one_by_name,
+    run_one_with, run_seed, run_sharded, run_trial, CampaignCell, CampaignOptions, CampaignSpec,
+    PreRunCheckpoints, RefState, Strike, Trial, TrialEnd,
 };
 pub use fault::{FaultModel, FaultPlan, PlannedFault, RunProfile};
 pub use outcome::{

@@ -129,8 +129,9 @@ pub enum RecoveryStatus {
     Succeeded {
         /// Which mechanism repaired the run: `flush-refetch` (the ICM's
         /// inline pipeline flush), `safe-mode-decouple` (the watchdog's
-        /// fail-safe), `checkpoint-rollback` (system software restoring
-        /// the checkpoint store and re-executing), or
+        /// fail-safe), `checkpoint-rollback` (system software rolling
+        /// back to the pre-run image: a re-execution on a freshly built
+        /// machine), or
         /// `ddt-checkpoint-rollback` (the OS recovery algorithm of
         /// §4.2.2).
         mechanism: &'static str,

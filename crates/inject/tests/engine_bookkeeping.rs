@@ -9,15 +9,14 @@
 
 use rse_core::{Engine, RseStats};
 use rse_inject::{
-    build_harness, by_name, derive_seed, drive, fault_budget, reference, FaultModel, FaultPlan,
-    Harness, RawEnd,
+    build_harness, by_name, derive_seed, fault_budget, reference, FaultModel, FaultPlan,
 };
 use rse_isa::asm::assemble;
 use rse_isa::ModuleId;
 use rse_modules::ddt::{Ddt, DdtStats};
 use rse_modules::icm::{Icm, IcmStats};
 use rse_pipeline::{Pipeline, PipelineStats};
-use rse_sys::{Os, OsConfig};
+use rse_sys::OsExit;
 
 /// Everything the test compares after one replayed trial.
 #[derive(Debug, PartialEq, Eq)]
@@ -44,15 +43,8 @@ fn replay(workload: &str, model: &str, run: u32) -> (u64, Pipeline, Engine) {
     let plan = FaultPlan::sample(model, seed, &r.profile);
     let mut b = build_harness(w, &image, budget);
     plan.arm(&mut b.cpu, &mut b.engine);
-    match w.harness {
-        Harness::DdtOs => {
-            Os::new(OsConfig::default()).run(&mut b.cpu, &mut b.engine, budget);
-        }
-        _ => {
-            if drive(&mut b.cpu, &mut b.engine, budget) == RawEnd::TimedOut {
-                b.engine.poll_hang(b.cpu.now());
-            }
-        }
+    if b.run(budget) == OsExit::Timeout {
+        b.engine.poll_hang(b.cpu.now());
     }
     assert_eq!(
         b.cpu.now(),

@@ -16,7 +16,10 @@
 //! * [`recovery`] — the §4.2.2 recovery algorithm: on a thread crash,
 //!   terminate the faulty thread and all its transitive dependents (from
 //!   the DDT's dependency matrix), undo their page updates from the
-//!   checkpoints, and resume the healthy survivors.
+//!   checkpoints, and resume the healthy survivors,
+//! * [`machine`] — the one machine builder: a [`MachineSpec`] names a
+//!   configuration (memory, CHECK insertion, engine, modules, guest OS
+//!   or bare), [`Machine::build`] wires it and [`Machine::run`] runs it.
 //!
 //! Substitutions relative to the paper are documented in `DESIGN.md`:
 //! kernel code is not simulated instruction-by-instruction; each kernel
@@ -29,10 +32,12 @@
 
 pub mod checkpoint;
 pub mod loader;
+pub mod machine;
 pub mod os;
 pub mod recovery;
 pub mod rerand;
 
 pub use checkpoint::{CheckpointConfig, CheckpointStore};
+pub use machine::{Machine, MachineSpec, ModuleSpec};
 pub use os::{Os, OsConfig, OsExit, ThreadState};
 pub use recovery::{recover, validate_max_rerun, RecoveryOutcome, DEFAULT_MAX_RERUN};

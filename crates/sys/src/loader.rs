@@ -5,9 +5,7 @@
 //! loader-provided prologue) can hand it to the Memory Layout
 //! Randomization module with `MLR_EXEC_HDR`/`MLR_PI_RAND` CHECKs.
 
-use rse_isa::image::ExecHeader;
 use rse_isa::Image;
-use rse_mem::MemorySystem;
 use rse_pipeline::Pipeline;
 
 /// Guest address at which the loader assembles the special header.
@@ -15,20 +13,15 @@ use rse_pipeline::Pipeline;
 /// program segments.
 pub const HEADER_ADDR: u32 = 0x0EFF_0000;
 
-/// Writes `header` into guest memory at [`HEADER_ADDR`].
-pub fn write_exec_header(mem: &mut MemorySystem, header: &ExecHeader) {
-    for (i, w) in header.to_words().iter().enumerate() {
-        mem.memory.write_u32(HEADER_ADDR + 4 * i as u32, *w);
-    }
-}
-
 /// Loads `image` into `cpu` and assembles its special header in guest
-/// memory. Returns the header that was written.
-pub fn load_process(cpu: &mut Pipeline, image: &Image) -> ExecHeader {
+/// memory at [`HEADER_ADDR`].
+pub fn load_process(cpu: &mut Pipeline, image: &Image) {
     cpu.load_image(image);
-    let header = image.exec_header();
-    write_exec_header(cpu.mem_mut(), &header);
-    header
+    for (i, w) in image.exec_header().to_words().iter().enumerate() {
+        cpu.mem_mut()
+            .memory
+            .write_u32(HEADER_ADDR + 4 * i as u32, *w);
+    }
 }
 
 /// Per-thread stack size used by the guest OS when spawning threads.
@@ -43,20 +36,21 @@ pub fn thread_stack_pointer(stack_base: u32, tid: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Machine, MachineSpec, OsConfig};
     use rse_isa::asm::assemble;
-    use rse_isa::image::HEADER_WORDS;
+    use rse_isa::image::{ExecHeader, HEADER_WORDS};
     use rse_isa::layout;
-    use rse_mem::MemConfig;
-    use rse_pipeline::PipelineConfig;
 
     #[test]
     fn header_lands_in_guest_memory() {
         let image = assemble("main: halt\n.data\nx: .word 7\n").unwrap();
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::baseline()),
-        );
-        let header = load_process(&mut cpu, &image);
+        let spec = MachineSpec {
+            framework: false,
+            os: Some(OsConfig::default()),
+            ..MachineSpec::default()
+        };
+        let cpu = Machine::build(&image, spec).cpu;
+        let header = image.exec_header();
         assert_eq!(
             cpu.mem().memory.read_u32(HEADER_ADDR),
             rse_isa::image::HEADER_MAGIC

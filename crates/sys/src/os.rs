@@ -495,20 +495,17 @@ impl Os {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rse_core::RseConfig;
+    use crate::{Machine, MachineSpec};
     use rse_isa::asm::assemble;
-    use rse_mem::{MemConfig, MemorySystem};
-    use rse_pipeline::PipelineConfig;
 
     fn setup(src: &str, config: OsConfig) -> (Pipeline, Engine, Os) {
         let image = assemble(src).expect("assembles");
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        crate::loader::load_process(&mut cpu, &image);
-        let engine = Engine::new(RseConfig::default());
-        (cpu, engine, Os::new(config))
+        let spec = MachineSpec {
+            os: Some(config),
+            ..MachineSpec::default()
+        };
+        let m = Machine::build(&image, spec);
+        (m.cpu, m.engine, m.os.expect("built with the guest OS"))
     }
 
     #[test]

@@ -159,11 +159,22 @@ pub fn maybe_rerandomize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Machine, MachineSpec, OsConfig, OsExit};
     use rse_modules::mlr::MlrConfig;
 
     use rse_isa::asm::assemble;
-    use rse_mem::{MemConfig, MemorySystem};
-    use rse_pipeline::{PipelineConfig, StepEvent};
+    use rse_pipeline::StepEvent;
+
+    /// The process `image` under the guest OS, on a machine with the
+    /// framework attached or not.
+    fn process(image: &rse_isa::Image, framework: bool) -> Machine {
+        let spec = MachineSpec {
+            framework,
+            os: Some(OsConfig::default()),
+            ..MachineSpec::default()
+        };
+        Machine::build(image, spec)
+    }
 
     /// A guest that keeps a pointer to segment data in a registered slot
     /// and reloads it after every syscall (the §4.1 compiler contract).
@@ -201,17 +212,13 @@ mod tests {
         let seg = image.symbol("seg").unwrap();
         let ptrtab = image.symbol("ptrtab").unwrap();
         assert_eq!(seg % PAGE_SIZE, 0);
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        crate::loader::load_process(&mut cpu, &image);
+        let mut m = process(&image, true);
+        let Machine { cpu, engine, os } = &mut m;
+        let os = os.as_mut().expect("built with the guest OS");
         let mut mlr = Mlr::new(MlrConfig {
             seed: Some(99),
             ..MlrConfig::default()
         });
-        let mut os = crate::Os::new(crate::OsConfig::default());
-        let mut engine = rse_core::Engine::new(rse_core::RseConfig::default());
         // Drive manually: re-randomize at every other syscall pause.
         let mut bases = vec![seg];
         let mut plan = RerandPlan {
@@ -222,30 +229,27 @@ mod tests {
         };
         let mut rounds = 0;
         let exit = loop {
-            match cpu.run(&mut engine, 10_000_000) {
+            match cpu.run(engine, 10_000_000) {
                 StepEvent::Syscall => {
                     rounds += 1;
                     if rounds % 2 == 0 {
-                        let out =
-                            rerandomize_segment(&mut cpu, &mut mlr, ptrtab, plan.base, plan.len);
+                        let out = rerandomize_segment(cpu, &mut mlr, ptrtab, plan.base, plan.len);
                         assert_ne!(out.new_base, plan.base);
                         assert_eq!(out.pointers_rewritten, 1);
                         assert!(out.cycles_charged > 0);
                         plan.base = out.new_base;
                         bases.push(out.new_base);
                     }
-                    if let Some(e) = {
-                        // Let the normal OS syscall handling proceed.
-                        osless_syscall(&mut cpu, &mut os, &mut engine)
-                    } {
+                    // Let the normal OS syscall handling proceed.
+                    if let Some(e) = os.dispatch_pending_syscall(cpu, engine) {
                         break e;
                     }
                 }
-                StepEvent::Halted => break crate::OsExit::Exited { code: 0 },
+                StepEvent::Halted => break OsExit::Exited { code: 0 },
                 other => panic!("{other:?}"),
             }
         };
-        assert_eq!(exit, crate::OsExit::Exited { code: 0 });
+        assert_eq!(exit, OsExit::Exited { code: 0 });
         assert_eq!(
             os.output,
             vec![106],
@@ -256,15 +260,6 @@ mod tests {
         // The datum lives at the final base; the original page is scrubbed.
         assert_eq!(cpu.mem().memory.read_u32(plan.base), 106);
         assert_eq!(cpu.mem().memory.read_u32(seg), 0);
-    }
-
-    /// Routes one pending syscall through the OS (test helper).
-    fn osless_syscall(
-        cpu: &mut Pipeline,
-        os: &mut crate::Os,
-        engine: &mut rse_core::Engine,
-    ) -> Option<crate::OsExit> {
-        os.dispatch_pending_syscall(cpu, engine)
     }
 
     #[test]
@@ -281,11 +276,7 @@ mod tests {
         let image = assemble(SRC).unwrap();
         let seg = image.symbol("seg").unwrap();
         let ptrtab = image.symbol("ptrtab").unwrap();
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::baseline()),
-        );
-        crate::loader::load_process(&mut cpu, &image);
+        let mut cpu = process(&image, false).cpu;
         let mut mlr = Mlr::new(MlrConfig {
             seed: Some(5),
             ..MlrConfig::default()
@@ -305,11 +296,7 @@ mod tests {
         let image = assemble(SRC).unwrap();
         let seg = image.symbol("seg").unwrap();
         let ptrtab = image.symbol("ptrtab").unwrap();
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::baseline()),
-        );
-        crate::loader::load_process(&mut cpu, &image);
+        let mut cpu = process(&image, false).cpu;
         // Point the registered slot somewhere outside the segment.
         let ptr_slot = image.symbol("ptr").unwrap();
         cpu.mem_mut().memory.write_u32(ptr_slot, 0x4444_0000);

@@ -266,24 +266,21 @@ counts: .space {counts_bytes}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rse_core::{Engine, RseConfig};
     use rse_isa::asm::assemble;
-    use rse_mem::{MemConfig, MemorySystem};
-    use rse_pipeline::{Pipeline, PipelineConfig};
-    use rse_sys::{Os, OsConfig, OsExit};
+    use rse_pipeline::Pipeline;
+    use rse_sys::{Machine, MachineSpec, OsConfig, OsExit};
 
     fn run(p: &KmeansParams) -> (Vec<i32>, Pipeline) {
         let image = assemble(&source(p)).expect("kmeans assembles");
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::baseline()),
-        );
-        rse_sys::loader::load_process(&mut cpu, &image);
-        let mut engine = Engine::new(RseConfig::default());
-        let mut os = Os::new(OsConfig::default());
-        let exit = os.run(&mut cpu, &mut engine, 200_000_000);
-        assert_eq!(exit, OsExit::Exited { code: 0 });
-        (os.output, cpu)
+        let spec = MachineSpec {
+            framework: false,
+            os: Some(OsConfig::default()),
+            ..MachineSpec::default()
+        };
+        let mut m = Machine::build(&image, spec);
+        assert_eq!(m.run(200_000_000), OsExit::Exited { code: 0 });
+        let output = m.os.expect("built with the guest OS").output;
+        (output, m.cpu)
     }
 
     #[test]

@@ -140,37 +140,32 @@ pub fn verify_relocation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rse_core::{Engine, RseConfig};
     use rse_isa::asm::assemble;
-    use rse_isa::ModuleId;
-    use rse_mem::{MemConfig, MemorySystem};
-    use rse_modules::mlr::{Mlr, MlrConfig};
-    use rse_pipeline::{Pipeline, PipelineConfig, StepEvent};
+    use rse_modules::mlr::MlrConfig;
+    use rse_pipeline::Pipeline;
+    use rse_sys::{Machine, MachineSpec, ModuleSpec, OsExit};
+
+    /// Runs `image` bare on the framework machine with `modules` to its
+    /// `halt`.
+    fn run_to_halt(image: &rse_isa::Image, modules: Vec<ModuleSpec>) -> Pipeline {
+        let spec = MachineSpec {
+            modules,
+            ..MachineSpec::default()
+        };
+        let mut m = Machine::build(image, spec);
+        assert_eq!(m.run(50_000_000), OsExit::Exited { code: 0 });
+        m.cpu
+    }
 
     fn run_trr(p: &MlrBenchParams) -> (Pipeline, rse_isa::Image) {
         let image = assemble(&trr_source(p)).expect("trr assembles");
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        cpu.load_image(&image);
-        let mut engine = Engine::new(RseConfig::default());
-        assert_eq!(cpu.run(&mut engine, 50_000_000), StepEvent::Halted);
-        (cpu, image)
+        (run_to_halt(&image, Vec::new()), image)
     }
 
     fn run_rse(p: &MlrBenchParams) -> (Pipeline, rse_isa::Image) {
         let image = assemble(&rse_source(p)).expect("rse assembles");
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        cpu.load_image(&image);
-        let mut engine = Engine::new(RseConfig::default());
-        engine.install(Box::new(Mlr::new(MlrConfig::default())));
-        engine.enable(ModuleId::MLR);
-        assert_eq!(cpu.run(&mut engine, 50_000_000), StepEvent::Halted);
-        (cpu, image)
+        let mlr = ModuleSpec::Mlr(MlrConfig::default());
+        (run_to_halt(&image, vec![mlr]), image)
     }
 
     #[test]

@@ -227,36 +227,40 @@ buf:    .space 4096
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rse_core::{Engine, RseConfig};
+    use rse_core::Engine;
     use rse_isa::asm::assemble;
-    use rse_isa::ModuleId;
-    use rse_mem::{MemConfig, MemorySystem};
+    use rse_isa::{Image, ModuleId};
     use rse_modules::ddt::{Ddt, DdtConfig};
     use rse_pipeline::golden::syscall_quanta;
-    use rse_pipeline::{Pipeline, PipelineConfig};
-    use rse_sys::{Os, OsConfig, OsExit};
+    use rse_pipeline::Pipeline;
+    use rse_sys::{Machine, MachineSpec, ModuleSpec, Os, OsConfig, OsExit};
+
+    /// Runs `image` to a clean exit under the guest OS with `modules`,
+    /// the request source delivering `requests` requests.
+    fn process(image: &Image, requests: u64, modules: Vec<ModuleSpec>) -> Machine {
+        let spec = MachineSpec {
+            modules,
+            os: Some(OsConfig {
+                num_requests: requests,
+                ..OsConfig::default()
+            }),
+            ..MachineSpec::default()
+        };
+        let mut m = Machine::build(image, spec);
+        let exit = m.run(1_000_000_000);
+        assert_eq!(exit, OsExit::Exited { code: 0 }, "server did not finish");
+        m
+    }
 
     fn run(p: &ServerParams, requests: u64, with_ddt: bool) -> (Pipeline, Engine, Os) {
         let image = assemble(&source(p)).expect("server assembles");
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        rse_sys::loader::load_process(&mut cpu, &image);
-        let mut engine = Engine::new(RseConfig::default());
-        if with_ddt {
-            let mut ddt = Ddt::new(DdtConfig::default());
-            ddt.set_current_thread(0);
-            engine.install(Box::new(ddt));
-            engine.enable(ModuleId::DDT);
-        }
-        let mut os = Os::new(OsConfig {
-            num_requests: requests,
-            ..OsConfig::default()
-        });
-        let exit = os.run(&mut cpu, &mut engine, 1_000_000_000);
-        assert_eq!(exit, OsExit::Exited { code: 0 }, "server did not finish");
-        (cpu, engine, os)
+        let modules = if with_ddt {
+            vec![ModuleSpec::Ddt(DdtConfig::default())]
+        } else {
+            Vec::new()
+        };
+        let m = process(&image, requests, modules);
+        (m.cpu, m.engine, m.os.expect("built with the guest OS"))
     }
 
     #[test]
@@ -316,15 +320,9 @@ mod tests {
             ..ServerParams::default()
         };
         let image = assemble(&request_loop_source(&p, 7)).expect("request loop assembles");
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        rse_sys::loader::load_process(&mut cpu, &image);
-        let mut engine = Engine::new(RseConfig::default());
-        let mut os = Os::new(OsConfig::default());
-        let exit = os.run(&mut cpu, &mut engine, 1_000_000_000);
-        assert_eq!(exit, OsExit::Exited { code: 0 });
+        let os = process(&image, 0, Vec::new())
+            .os
+            .expect("built with the guest OS");
         assert_eq!(os.output, vec![7]);
     }
 

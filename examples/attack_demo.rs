@@ -14,13 +14,10 @@
 //! cargo run --example attack_demo
 //! ```
 
-use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
-use rse::isa::{layout, ModuleId};
-use rse::mem::{MemConfig, MemorySystem};
-use rse::modules::mlr::{Mlr, MlrConfig};
-use rse::pipeline::{Pipeline, PipelineConfig, StepEvent};
-use rse::sys::loader;
+use rse::isa::layout;
+use rse::modules::mlr::MlrConfig;
+use rse::sys::{Machine, MachineSpec, ModuleSpec, OsConfig, OsExit};
 
 /// `s1` ends up holding the stack base actually in use: the MLR's
 /// randomized value when the module is live, else the nominal one
@@ -61,24 +58,24 @@ const SRC: &str = r#"
 
 fn run(with_mlr: bool) -> (i32, u32) {
     let image = assemble(SRC).expect("assembles");
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    loader::load_process(&mut cpu, &image);
-    let mut engine = Engine::new(RseConfig::default());
-    if with_mlr {
-        engine.install(Box::new(Mlr::new(MlrConfig {
+    let modules = if with_mlr {
+        vec![ModuleSpec::Mlr(MlrConfig {
             seed: Some(0xDEFE47), // "load time" entropy, pinned for the demo
             ..MlrConfig::default()
-        })));
-        engine.enable(ModuleId::MLR);
-    }
-    let mut os = rse::sys::Os::new(rse::sys::OsConfig::default());
-    let exit = os.run(&mut cpu, &mut engine, 10_000_000);
-    assert!(matches!(exit, rse::sys::OsExit::Exited { .. }), "{exit:?}");
-    let _ = StepEvent::Halted;
-    (os.output[0], cpu.regs()[17])
+        })]
+    } else {
+        Vec::new()
+    };
+    let spec = MachineSpec {
+        modules,
+        os: Some(OsConfig::default()),
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(&image, spec);
+    let exit = m.run(10_000_000);
+    assert!(matches!(exit, OsExit::Exited { .. }), "{exit:?}");
+    let os = m.os.expect("the victim runs under the guest OS");
+    (os.output[0], m.cpu.regs()[17])
 }
 
 fn main() {

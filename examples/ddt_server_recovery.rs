@@ -9,13 +9,9 @@
 //! cargo run --example ddt_server_recovery
 //! ```
 
-use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
-use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
-use rse::modules::ddt::{Ddt, DdtConfig};
-use rse::pipeline::{Pipeline, PipelineConfig};
-use rse::sys::{Os, OsConfig, OsExit, ThreadState};
+use rse::modules::ddt::DdtConfig;
+use rse::sys::{Machine, MachineSpec, ModuleSpec, Os, OsConfig, OsExit, ThreadState};
 
 /// Threads (spawn order): 0 = main, 1 = worker (healthy, independent),
 /// 2 = consumer (reads the attacker's data), 3 = attacker.
@@ -132,20 +128,19 @@ type RunResult = (OsExit, Vec<i32>, Option<(Vec<usize>, Vec<u32>)>, Os);
 
 fn run(with_ddt: bool) -> RunResult {
     let image = assemble(SRC).expect("assembles");
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    rse::sys::loader::load_process(&mut cpu, &image);
-    let mut engine = Engine::new(RseConfig::default());
-    if with_ddt {
-        let mut ddt = Ddt::new(DdtConfig::default());
-        ddt.set_current_thread(0);
-        engine.install(Box::new(ddt));
-        engine.enable(ModuleId::DDT);
-    }
-    let mut os = Os::new(OsConfig::default());
-    let exit = os.run(&mut cpu, &mut engine, 100_000_000);
+    let modules = if with_ddt {
+        vec![ModuleSpec::Ddt(DdtConfig::default())]
+    } else {
+        Vec::new()
+    };
+    let spec = MachineSpec {
+        modules,
+        os: Some(OsConfig::default()),
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(&image, spec);
+    let exit = m.run(100_000_000);
+    let os = m.os.expect("the server runs under the guest OS");
     let recovery = os
         .last_recovery
         .as_ref()

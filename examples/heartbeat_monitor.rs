@@ -8,13 +8,10 @@
 //! cargo run --example heartbeat_monitor
 //! ```
 
-use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
 use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
 use rse::modules::ahbm::{Ahbm, AhbmConfig};
-use rse::pipeline::{Pipeline, PipelineConfig};
-use rse::sys::{Os, OsConfig, OsExit};
+use rse::sys::{Machine, MachineSpec, ModuleSpec, OsConfig, OsExit};
 
 /// Entity 1 = steady worker; entity 2 = worker that wedges half-way.
 const SRC: &str = r#"
@@ -71,23 +68,21 @@ const SRC: &str = r#"
 
 fn main() {
     let image = assemble(SRC).expect("assembles");
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    rse::sys::loader::load_process(&mut cpu, &image);
-    let mut engine = Engine::new(RseConfig::default());
-    engine.install(Box::new(Ahbm::new(AhbmConfig {
+    let ahbm = ModuleSpec::Ahbm(AhbmConfig {
         sample_interval: 200,
         min_timeout: 400,
         ..AhbmConfig::default()
-    })));
-    engine.enable(ModuleId::AHBM);
-    let mut os = Os::new(OsConfig::default());
-    let exit = os.run(&mut cpu, &mut engine, 50_000_000);
+    });
+    let spec = MachineSpec {
+        modules: vec![ahbm],
+        os: Some(OsConfig::default()),
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(&image, spec);
+    let exit = m.run(50_000_000);
     assert_eq!(exit, OsExit::Exited { code: 0 });
 
-    let ahbm: &mut Ahbm = engine.module_mut(ModuleId::AHBM).expect("AHBM installed");
+    let ahbm: &mut Ahbm = m.engine.module_mut(ModuleId::AHBM).expect("AHBM installed");
     let steady = *ahbm.entity(1).expect("registered");
     let wedged = *ahbm.entity(2).expect("registered");
     println!(

@@ -11,13 +11,9 @@
 //! cargo run --example mlr_randomize
 //! ```
 
-use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
-use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
-use rse::modules::mlr::{Mlr, MlrConfig};
-use rse::pipeline::{Pipeline, PipelineConfig, StepEvent};
-use rse::sys::loader;
+use rse::modules::mlr::MlrConfig;
+use rse::sys::{Machine, MachineSpec, ModuleSpec, OsConfig, OsExit};
 
 /// The loader stub a real system would link in front of the program:
 /// it hands the special header to the MLR and reads back the randomized
@@ -36,23 +32,22 @@ const LOADER_STUB: &str = r#"
 
 fn load_once(run: u32) -> (u32, u32, u32) {
     let image = assemble(LOADER_STUB).expect("stub assembles");
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    // The loader writes the program and its special header into memory.
-    loader::load_process(&mut cpu, &image);
-    let mut engine = Engine::new(RseConfig::default());
     // Entropy comes from the clock-cycle counter; vary it per load the
     // way distinct load times would.
-    engine.install(Box::new(Mlr::new(MlrConfig {
+    let mlr = ModuleSpec::Mlr(MlrConfig {
         seed: Some(0xC10C_0000 + run as u64),
         ..MlrConfig::default()
-    })));
-    engine.enable(ModuleId::MLR);
-    let ev = cpu.run(&mut engine, 10_000_000);
-    assert_eq!(ev, StepEvent::Halted);
-    (cpu.regs()[9], cpu.regs()[10], cpu.regs()[11])
+    });
+    // The loader writes the program and its special header into memory.
+    let spec = MachineSpec {
+        modules: vec![mlr],
+        os: Some(OsConfig::default()),
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(&image, spec);
+    assert_eq!(m.run(10_000_000), OsExit::Exited { code: 0 });
+    let regs = m.cpu.regs();
+    (regs[9], regs[10], regs[11])
 }
 
 fn main() {

@@ -6,12 +6,11 @@
 //! cargo run --example quickstart
 //! ```
 
-use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
 use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
 use rse::modules::icm::{Icm, IcmConfig};
-use rse::pipeline::{CheckPolicy, FetchFault, Pipeline, PipelineConfig, StepEvent};
+use rse::pipeline::{CheckPolicy, FetchFault};
+use rse::sys::{Machine, MachineSpec, ModuleSpec, OsExit};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A guest program: sum the integers 1..=100.
@@ -30,34 +29,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. A superscalar pipeline with the paper's Figure 1 parameters,
     //    runtime CHECK insertion on every control-flow instruction, and
     //    the RSE-attached memory configuration (arbiter in the DRAM path).
-    let mut cpu = Pipeline::new(
-        PipelineConfig {
-            check_policy: CheckPolicy::ControlFlow,
-            ..PipelineConfig::default()
-        },
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    cpu.load_image(&image);
-
     // 3. The Reliability and Security Engine hosting the Instruction
     //    Checker Module, with redundant copies of all control-flow
     //    instructions installed in CheckerMemory.
-    let mut icm = Icm::new(IcmConfig::default());
-    icm.install_for_control_flow(&image, &mut cpu.mem_mut().memory);
-    let mut engine = Engine::new(RseConfig::default());
-    engine.install(Box::new(icm));
-    engine.enable(ModuleId::ICM);
+    let spec = MachineSpec {
+        check_policy: CheckPolicy::ControlFlow,
+        modules: vec![ModuleSpec::Icm(IcmConfig::default())],
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(&image, spec);
 
     // 4. Corrupt the branch in flight: flip a bit of the 6th fetched
     //    word (the bne) as it leaves the I-cache.
-    cpu.set_fetch_fault(Some(FetchFault::xor(5, 0x0000_0020)));
+    m.cpu.set_fetch_fault(Some(FetchFault::xor(5, 0x0000_0020)));
 
     // 5. Run. The ICM compares the corrupted word against its redundant
     //    copy, reports a mismatch, and the pipeline flushes and refetches
     //    — the program still computes the right answer.
-    let event = cpu.run(&mut engine, 10_000_000);
-    assert_eq!(event, StepEvent::Halted);
+    assert_eq!(m.run(10_000_000), OsExit::Exited { code: 0 });
 
+    let Machine { cpu, engine, .. } = &m;
     let icm: &Icm = engine.module_ref(ModuleId::ICM).expect("ICM installed");
     println!("sum(1..=100)        = {} (expected 5050)", cpu.regs()[9]);
     println!("cycles              = {}", cpu.stats().cycles);

@@ -16,6 +16,16 @@ trap 'rm -rf "$TMP"' EXIT
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== one machine builder: no hand-wired Pipeline::new"
+# Every simulation is built by rse_sys::Machine::build (DESIGN.md,
+# "Building a machine"). Only the pipeline itself, the engine's and the
+# modules' isolation tests, the builder, and the two pipeline-only runs
+# on NullCoProcessor may construct a Pipeline directly.
+if grep -rn --include='*.rs' 'Pipeline::new(' crates tests examples \
+    | grep -Ev '^(crates/(pipeline|core|modules)/|crates/sys/src/machine\.rs:|tests/common/mod\.rs:|crates/workloads/src/instrument\.rs:)'; then
+  echo "FAIL: build the machines above with rse_sys::Machine::build"; exit 1
+fi
+
 echo "== cargo clippy --workspace --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

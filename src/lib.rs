@@ -30,3 +30,8 @@ pub use rse_modules as modules;
 pub use rse_pipeline as pipeline;
 pub use rse_sys as sys;
 pub use rse_workloads as workloads;
+
+/// README's library example, compiled and run as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -3,11 +3,11 @@
 //! execution helpers, and the architectural-state digest.
 #![allow(dead_code)]
 
-use rse::core::{Engine, RseConfig};
 use rse::mem::{MemConfig, MemorySystem};
 use rse::pipeline::{
     CheckPolicy, Golden, GoldenEvent, NullCoProcessor, Pipeline, PipelineConfig, StepEvent,
 };
+use rse::sys::{Machine, MachineSpec, OsExit};
 use rse_support::prelude::*;
 
 /// Operations the program generator can emit. Loads/stores stay within a
@@ -239,26 +239,28 @@ fn corpus_arms() -> Vec<BoxedStrategy<Op>> {
 /// final architectural state: registers, the scratch buffer, and its
 /// base address.
 pub fn run_pipeline(image: &rse::isa::Image, with_engine: bool) -> ([u32; 32], Vec<u8>, u32) {
-    let (mem, pipe) = if with_engine {
-        (
-            MemConfig::with_framework(),
-            PipelineConfig {
-                check_policy: CheckPolicy::ControlFlow,
-                ..PipelineConfig::default()
-            },
-        )
+    let cpu = if with_engine {
+        let spec = MachineSpec {
+            check_policy: CheckPolicy::ControlFlow,
+            ..MachineSpec::default()
+        };
+        let mut m = Machine::build(image, spec);
+        assert_eq!(
+            m.run(50_000_000),
+            OsExit::Exited { code: 0 },
+            "pipeline must halt"
+        );
+        m.cpu
     } else {
-        (MemConfig::baseline(), PipelineConfig::default())
+        let mut cpu = Pipeline::new(
+            PipelineConfig::default(),
+            MemorySystem::new(MemConfig::baseline()),
+        );
+        cpu.load_image(image);
+        let ev = cpu.run(&mut NullCoProcessor, 50_000_000);
+        assert_eq!(ev, StepEvent::Halted, "pipeline must halt");
+        cpu
     };
-    let mut cpu = Pipeline::new(pipe, MemorySystem::new(mem));
-    cpu.load_image(image);
-    let ev = if with_engine {
-        let mut engine = Engine::new(RseConfig::default());
-        cpu.run(&mut engine, 50_000_000)
-    } else {
-        cpu.run(&mut NullCoProcessor, 50_000_000)
-    };
-    assert_eq!(ev, StepEvent::Halted, "pipeline must halt");
     let scratch_base = image.symbol("scratch").unwrap();
     let mut scratch = vec![0u8; 256];
     cpu.mem().memory.read_bytes(scratch_base, &mut scratch);

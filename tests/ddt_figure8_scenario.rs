@@ -7,13 +7,12 @@
 //! Here t0 is the main thread, so recovery also kills the process's
 //! original thread; the process survives on its healthy workers alone.
 
-use rse::core::{Engine, RseConfig};
+use rse::core::Engine;
 use rse::isa::asm::assemble;
 use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
 use rse::modules::ddt::{Ddt, DdtConfig};
-use rse::pipeline::{Pipeline, PipelineConfig};
-use rse::sys::{Os, OsConfig, OsExit, ThreadState};
+use rse::pipeline::Pipeline;
+use rse::sys::{Machine, MachineSpec, ModuleSpec, Os, OsConfig, OsExit, ThreadState};
 
 /// Thread roles by spawn order: 0 = main (the t0 of Figure 8),
 /// 1 = t1, 2 = t2 (the faulty thread), 3 = t3, 4 = t4.
@@ -143,19 +142,19 @@ const SRC: &str = r#"
 
 fn run_figure8() -> (OsExit, Os, Pipeline, Engine) {
     let image = assemble(SRC).expect("assembles");
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    rse::sys::loader::load_process(&mut cpu, &image);
-    let mut engine = Engine::new(RseConfig::default());
-    let mut ddt = Ddt::new(DdtConfig::default());
-    ddt.set_current_thread(0);
-    engine.install(Box::new(ddt));
-    engine.enable(ModuleId::DDT);
-    let mut os = Os::new(OsConfig::default());
-    let exit = os.run(&mut cpu, &mut engine, 200_000_000);
-    (exit, os, cpu, engine)
+    let spec = MachineSpec {
+        modules: vec![ModuleSpec::Ddt(DdtConfig::default())],
+        os: Some(OsConfig::default()),
+        ..MachineSpec::default()
+    };
+    let mut m = Machine::build(&image, spec);
+    let exit = m.run(200_000_000);
+    (
+        exit,
+        m.os.expect("built with the guest OS"),
+        m.cpu,
+        m.engine,
+    )
 }
 
 #[test]

@@ -2,47 +2,19 @@
 //! every machine configuration, determinism, and the monotonicity
 //! relations the Table 4 experiment depends on.
 
-use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
 use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
 use rse::modules::icm::{Icm, IcmConfig};
-use rse::pipeline::{CheckPolicy, Pipeline, PipelineConfig};
-use rse::sys::{Os, OsConfig, OsExit};
+use rse::pipeline::{CheckPolicy, FetchFault};
+use rse::sys::{Machine, MachineSpec, ModuleSpec, OsExit};
 use rse::workloads::{instrument, kmeans, place, route};
+use rse_bench::MachineConfig;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Config {
-    Baseline,
-    Framework,
-    FrameworkIcm,
-}
-
-fn run(image: &rse::isa::Image, config: Config) -> (Vec<i32>, u64) {
-    let (mem, pipe) = match config {
-        Config::Baseline => (MemConfig::baseline(), PipelineConfig::default()),
-        Config::Framework => (MemConfig::with_framework(), PipelineConfig::default()),
-        Config::FrameworkIcm => (
-            MemConfig::with_framework(),
-            PipelineConfig {
-                check_policy: CheckPolicy::ControlFlow,
-                ..PipelineConfig::default()
-            },
-        ),
-    };
-    let mut cpu = Pipeline::new(pipe, MemorySystem::new(mem));
-    rse::sys::loader::load_process(&mut cpu, image);
-    let mut engine = Engine::new(RseConfig::default());
-    if config == Config::FrameworkIcm {
-        let mut icm = Icm::new(IcmConfig::default());
-        icm.install_for_control_flow(image, &mut cpu.mem_mut().memory);
-        engine.install(Box::new(icm));
-        engine.enable(ModuleId::ICM);
-    }
-    let mut os = Os::new(OsConfig::default());
-    let exit = os.run(&mut cpu, &mut engine, 1_000_000_000);
-    assert_eq!(exit, OsExit::Exited { code: 0 });
-    (os.output, cpu.stats().cycles)
+fn run(image: &rse::isa::Image, config: MachineConfig) -> (Vec<i32>, u64) {
+    let mut m = Machine::build(image, config.spec());
+    assert_eq!(m.run(1_000_000_000), OsExit::Exited { code: 0 });
+    let output = m.os.expect("an OS run").output;
+    (output, m.cpu.stats().cycles)
 }
 
 /// Every machine configuration computes the same architectural results
@@ -80,7 +52,11 @@ fn all_configurations_agree_with_references() {
         ("place", place::source(&pp), vec![pc as i32]),
     ] {
         let image = assemble(&src).unwrap();
-        for config in [Config::Baseline, Config::Framework, Config::FrameworkIcm] {
+        for config in [
+            MachineConfig::Baseline,
+            MachineConfig::Framework,
+            MachineConfig::FrameworkIcm,
+        ] {
             let (out, _) = run(&image, config);
             assert_eq!(
                 out, expected,
@@ -102,11 +78,11 @@ fn configuration_cost_ordering_and_determinism() {
         seed: 5,
     };
     let image = assemble(&kmeans::source(&kp)).unwrap();
-    let (_, base1) = run(&image, Config::Baseline);
-    let (_, base2) = run(&image, Config::Baseline);
+    let (_, base1) = run(&image, MachineConfig::Baseline);
+    let (_, base2) = run(&image, MachineConfig::Baseline);
     assert_eq!(base1, base2, "simulation must be deterministic");
-    let (_, fw) = run(&image, Config::Framework);
-    let (_, icm) = run(&image, Config::FrameworkIcm);
+    let (_, fw) = run(&image, MachineConfig::Framework);
+    let (_, icm) = run(&image, MachineConfig::FrameworkIcm);
     assert!(base1 <= fw, "baseline {base1} vs framework {fw}");
     assert!(fw < icm, "framework {fw} vs framework+ICM {icm}");
 }
@@ -126,8 +102,8 @@ fn static_instrumentation_preserves_results_and_costs_cycles() {
     let plain = assemble(&src).unwrap();
     for what in [instrument::StaticInsert::Nop, instrument::StaticInsert::Chk] {
         let instrumented = assemble(&instrument::instrument_control_flow(&src, what)).unwrap();
-        let (out_p, cyc_p) = run(&plain, Config::Baseline);
-        let (out_i, cyc_i) = run(&instrumented, Config::Baseline);
+        let (out_p, cyc_p) = run(&plain, MachineConfig::Baseline);
+        let (out_i, cyc_i) = run(&instrumented, MachineConfig::Baseline);
         assert_eq!(out_p, vec![rr as i32, rw as i32]);
         assert_eq!(out_i, out_p, "instrumentation must not change results");
         assert!(cyc_i > cyc_p, "fetching the inserted words costs cycles");
@@ -155,40 +131,34 @@ fn icm_fault_injection_campaign() {
     for trial in 0..24u64 {
         let index = 3 + (trial % 6) * 2; // odd indices land on the checked bne
         let bit = 1u32 << ((trial * 7) % 26);
-        let mut cpu = Pipeline::new(
-            PipelineConfig {
-                check_policy: CheckPolicy::ControlFlow,
-                ..PipelineConfig::default()
-            },
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        cpu.load_image(&image);
-        let mut icm = Icm::new(IcmConfig::default());
-        icm.install_for_control_flow(&image, &mut cpu.mem_mut().memory);
-        let mut engine = Engine::new(RseConfig::default());
-        engine.install(Box::new(icm));
-        engine.enable(ModuleId::ICM);
-        cpu.set_fetch_fault(Some(rse::pipeline::FetchFault::xor(index, bit)));
-        let ev = cpu.run(&mut engine, 2_000_000);
-        let icm: &Icm = engine.module_ref(ModuleId::ICM).unwrap();
+        let spec = MachineSpec {
+            check_policy: CheckPolicy::ControlFlow,
+            modules: vec![ModuleSpec::Icm(IcmConfig::default())],
+            ..MachineSpec::default()
+        };
+        let mut m = Machine::build(&image, spec);
+        m.cpu.set_fetch_fault(Some(FetchFault::xor(index, bit)));
+        let exit = m.run(2_000_000);
+        let icm: &Icm = m.engine.module_ref(ModuleId::ICM).unwrap();
         if icm.stats().mismatches > 0 {
             detected += 1;
             assert_eq!(
-                ev,
-                rse::pipeline::StepEvent::Halted,
+                exit,
+                OsExit::Exited { code: 0 },
                 "trial {trial} not recovered"
             );
-            assert_eq!(cpu.regs()[8], 40, "detected faults must be fully recovered");
+            assert_eq!(
+                m.cpu.regs()[8],
+                40,
+                "detected faults must be fully recovered"
+            );
         } else {
             // Undetected (unchecked instruction hit): silent corruption or
             // a hang are both possible — the failure modes the ICM exists
             // to preempt.
             assert!(
-                matches!(
-                    ev,
-                    rse::pipeline::StepEvent::Halted | rse::pipeline::StepEvent::Timeout
-                ),
-                "trial {trial}: {ev:?}"
+                matches!(exit, OsExit::Exited { code: 0 } | OsExit::Timeout),
+                "trial {trial}: {exit:?}"
             );
         }
     }

@@ -4,11 +4,11 @@
 
 use rse::core::ioq::{FetchOutEntry, Ioq, IoqEntryKind};
 use rse::core::testutil::{ScriptedBehavior, ScriptedModule};
-use rse::core::{Engine, RseConfig, Verdict};
+use rse::core::Verdict;
 use rse::isa::asm::assemble;
 use rse::isa::{Inst, ModuleId};
-use rse::mem::{MemConfig, MemorySystem};
-use rse::pipeline::{CommitGate, Pipeline, PipelineConfig, RobId, StepEvent};
+use rse::pipeline::{CommitGate, RobId};
+use rse::sys::{Machine, MachineSpec, ModuleSpec, OsExit};
 use rse_support::prelude::*;
 
 /// The `Fetch_Out` slot every entry here carries; the gate never reads it.
@@ -59,22 +59,20 @@ fn table1_row5_error_flushes() {
 fn stall_window_bounded_by_module_latency() {
     for latency in [1u64, 10, 50] {
         let image = assemble("main: chk icm, blk, 2, 0\nhalt").unwrap();
-        let mut cpu = Pipeline::new(
-            PipelineConfig::default(),
-            MemorySystem::new(MemConfig::with_framework()),
-        );
-        cpu.load_image(&image);
-        let mut engine = Engine::new(RseConfig::default());
-        engine.install(Box::new(ScriptedModule::new(
+        let module = ScriptedModule::new(
             ModuleId::ICM,
             ScriptedBehavior::Respond {
                 verdict: Verdict::Pass,
                 latency,
             },
-        )));
-        engine.enable(ModuleId::ICM);
-        assert_eq!(cpu.run(&mut engine, 100_000), StepEvent::Halted);
-        let stalls = cpu.stats().commit_stall_cycles;
+        );
+        let spec = MachineSpec {
+            modules: vec![ModuleSpec::Custom(Box::new(module))],
+            ..MachineSpec::default()
+        };
+        let mut m = Machine::build(&image, spec);
+        assert_eq!(m.run(100_000), OsExit::Exited { code: 0 });
+        let stalls = m.cpu.stats().commit_stall_cycles;
         assert!(stalls <= latency + 4, "latency {latency}: stalled {stalls}");
     }
 }

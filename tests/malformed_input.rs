@@ -7,16 +7,13 @@
 //! fails the property, and the harness shrinks the source to a minimal
 //! failing input and prints the `RSE_PT_SEED` that replays it.
 
-use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
-use rse::isa::{Image, ModuleId};
-use rse::mem::{MemConfig, MemorySystem};
-use rse::modules::ahbm::{Ahbm, AhbmConfig};
-use rse::modules::ddt::{Ddt, DdtConfig};
-use rse::modules::icm::{Icm, IcmConfig};
-use rse::modules::mlr::{Mlr, MlrConfig};
-use rse::pipeline::{Pipeline, PipelineConfig};
-use rse::sys::{loader, Os, OsConfig};
+use rse::isa::Image;
+use rse::modules::ahbm::AhbmConfig;
+use rse::modules::ddt::DdtConfig;
+use rse::modules::icm::IcmConfig;
+use rse::modules::mlr::MlrConfig;
+use rse::sys::{Machine, MachineSpec, ModuleSpec, OsConfig};
 use rse_support::prelude::*;
 
 /// Cycle budget per run: enough for a generated program to reach its
@@ -118,15 +115,15 @@ fn line() -> impl Strategy<Value = String> {
     prop_oneof![good_line(), good_line(), good_line(), random_line()]
 }
 
-/// Loads `image` and runs it under the guest OS for [`BUDGET`] cycles.
-fn run_under_os(image: &Image) {
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    loader::load_process(&mut cpu, image);
-    let mut engine = Engine::new(RseConfig::default());
-    Os::new(OsConfig::default()).run(&mut cpu, &mut engine, BUDGET);
+/// Loads `image` and runs it under the guest OS for [`BUDGET`] cycles,
+/// on the framework machine with `modules`.
+fn run_under_os(image: &Image, modules: Vec<ModuleSpec>) {
+    let spec = MachineSpec {
+        modules,
+        os: Some(OsConfig::default()),
+        ..MachineSpec::default()
+    };
+    Machine::build(image, spec).run(BUDGET);
 }
 
 /// One CHECK to a module slot 0–4 (the four paper modules and the DSM's
@@ -146,24 +143,13 @@ fn check_line() -> impl Strategy<Value = String> {
 /// Runs `image` under the guest OS for [`BUDGET`] cycles on the machine
 /// `simrun --framework --icm --mlr --ddt --ahbm` builds.
 fn run_with_every_module(image: &Image) {
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    loader::load_process(&mut cpu, image);
-    let mut engine = Engine::new(RseConfig::default());
-    let mut icm = Icm::new(IcmConfig::default());
-    icm.install_for_control_flow(image, &mut cpu.mem_mut().memory);
-    engine.install(Box::new(icm));
-    engine.install(Box::new(Mlr::new(MlrConfig::default())));
-    let mut ddt = Ddt::new(DdtConfig::default());
-    ddt.set_current_thread(0);
-    engine.install(Box::new(ddt));
-    engine.install(Box::new(Ahbm::new(AhbmConfig::default())));
-    for id in [ModuleId::ICM, ModuleId::MLR, ModuleId::DDT, ModuleId::AHBM] {
-        engine.enable(id);
-    }
-    Os::new(OsConfig::default()).run(&mut cpu, &mut engine, BUDGET);
+    let modules = vec![
+        ModuleSpec::Icm(IcmConfig::default()),
+        ModuleSpec::Mlr(MlrConfig::default()),
+        ModuleSpec::Ddt(DdtConfig::default()),
+        ModuleSpec::Ahbm(AhbmConfig::default()),
+    ];
+    run_under_os(image, modules);
 }
 
 proptest! {
@@ -171,7 +157,7 @@ proptest! {
     #[test]
     fn token_streams_assemble_or_fail_by_name(lines in rse_support::collection::vec(line(), 1..7)) {
         if let Ok(image) = assemble(&lines.join("\n")) {
-            run_under_os(&image);
+            run_under_os(&image, Vec::new());
         }
     }
 
@@ -181,7 +167,7 @@ proptest! {
     ) {
         let mut image = assemble("main: halt").expect("assembles");
         image.text = words;
-        run_under_os(&image);
+        run_under_os(&image, Vec::new());
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! and returns to `Healthy` without any global decoupling.
 
 use rse::core::testutil::{ScriptedBehavior, ScriptedModule};
-use rse::core::{AnomalyKind, Engine, HealthState, Module, RseConfig, Verdict};
+use rse::core::{AnomalyKind, Engine, HealthState, RseConfig, Verdict};
 use rse::isa::asm::assemble;
 use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
-use rse::pipeline::{Pipeline, PipelineConfig, StepEvent};
+use rse::pipeline::{Pipeline, StepEvent};
+use rse::sys::{Machine, MachineSpec, ModuleSpec};
 
 /// A loop that exercises two module slots per iteration with explicit
 /// blocking CHECKs and accumulates a golden result in `r8`.
@@ -45,18 +45,16 @@ fn harness(src: &str, config: RseConfig, modules: Vec<ScriptedModule>) -> (Pipel
     // semantics), which the containment scenarios depend on. Only the
     // MLR's also drain dispatch (`ChkSpec::serializes`): the ICM's and
     // the AHBM's dispatch back to back.
-    let mut cpu = Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    cpu.load_image(&image);
-    let mut engine = Engine::new(config);
-    for m in modules {
-        let id = m.id();
-        engine.install(Box::new(m));
-        engine.enable(id);
-    }
-    (cpu, engine)
+    let spec = MachineSpec {
+        rse: config,
+        modules: modules
+            .into_iter()
+            .map(|m| ModuleSpec::Custom(Box::new(m)))
+            .collect(),
+        ..MachineSpec::default()
+    };
+    let m = Machine::build(&image, spec);
+    (m.cpu, m.engine)
 }
 
 #[test]

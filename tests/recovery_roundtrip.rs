@@ -13,8 +13,9 @@ use rse_inject::{run_one_by_name, FaultModel, Outcome, RecoveryStatus};
 /// fetch, so the mismatch against the redundant CheckerMemory copy is
 /// detected; the flip is *persistent* (text memory, not fetch latch),
 /// so flush-and-refetch cannot heal it and the engine escalates to
-/// safe mode. External recovery then rolls memory back from the
-/// pre-run checkpoints and re-executes to the golden digest.
+/// safe mode. External recovery then rolls back to the pre-run image,
+/// a re-execution on a freshly built machine, and reaches the golden
+/// digest.
 const ICM_TEXT_SEED: u64 = 10524026136655159238;
 
 /// Pinned seed: flips a bit inside `ddt_recover`'s canary page while

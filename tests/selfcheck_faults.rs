@@ -15,8 +15,8 @@ use rse::core::testutil::{ScriptedBehavior, ScriptedModule};
 use rse::core::{AnomalyKind, Engine, IoqFault, RseConfig, SafeModeCause, Verdict};
 use rse::isa::asm::assemble;
 use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
-use rse::pipeline::{CheckPolicy, Pipeline, PipelineConfig, StepEvent};
+use rse::pipeline::{CheckPolicy, Pipeline, StepEvent};
+use rse::sys::{Machine, MachineSpec, ModuleSpec};
 
 const SRC: &str = r#"
     main:   li   r8, 0
@@ -28,21 +28,22 @@ const SRC: &str = r#"
 
 fn run(behavior: ScriptedBehavior, fault: Option<IoqFault>) -> (Pipeline, Engine) {
     let image = assemble(SRC).unwrap();
-    let mut cpu = Pipeline::new(
-        PipelineConfig {
-            check_policy: CheckPolicy::ControlFlow,
-            ..PipelineConfig::default()
-        },
-        MemorySystem::new(MemConfig::with_framework()),
-    );
-    cpu.load_image(&image);
     let mut config = RseConfig::default();
     config.watchdog.timeout = 1_000;
     config.watchdog.burst_threshold = 5;
     config.watchdog.premature_pass_threshold = 5;
-    let mut engine = Engine::new(config);
-    engine.install(Box::new(ScriptedModule::new(ModuleId::ICM, behavior)));
-    engine.enable(ModuleId::ICM);
+    let module = ScriptedModule::new(ModuleId::ICM, behavior);
+    let spec = MachineSpec {
+        check_policy: CheckPolicy::ControlFlow,
+        rse: config,
+        modules: vec![ModuleSpec::Custom(Box::new(module))],
+        ..MachineSpec::default()
+    };
+    let Machine {
+        mut cpu,
+        mut engine,
+        ..
+    } = Machine::build(&image, spec);
     engine.inject_ioq_fault(fault);
     let ev = cpu.run(&mut engine, 5_000_000);
     assert_eq!(ev, StepEvent::Halted, "application must complete");

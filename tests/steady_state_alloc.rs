@@ -11,16 +11,17 @@
 //! Host time is too noisy for CI to gate; allocation and call counts are
 //! exact.
 
-use rse::core::{Engine, RseConfig};
+use rse::core::Engine;
 use rse::isa::asm::assemble;
 use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
-use rse::modules::icm::{Icm, IcmConfig};
+use rse::mem::MemorySystem;
+use rse::modules::icm::Icm;
 use rse::pipeline::{
-    CheckPolicy, CoProcessor, CommitGate, CoprocException, DispatchInfo, ExecuteInfo, Pipeline,
-    PipelineConfig, RobId, StepEvent,
+    CoProcessor, CommitGate, CoprocException, DispatchInfo, ExecuteInfo, Pipeline, RobId, StepEvent,
 };
+use rse::sys::Machine;
 use rse::workloads::kmeans::{self, KmeansParams};
+use rse_bench::MachineConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -83,24 +84,16 @@ fn warm_machine(icm: bool) -> (Pipeline, Engine) {
         seed: 1,
     };
     let image = assemble(&kmeans::source(&params)).expect("kMeans guest assembles");
-    let (mem_config, pipe_config) = if icm {
-        let pipe = PipelineConfig {
-            check_policy: CheckPolicy::ControlFlow,
-            ..PipelineConfig::default()
-        };
-        (MemConfig::with_framework(), pipe)
+    let config = if icm {
+        MachineConfig::FrameworkIcm
     } else {
-        (MemConfig::baseline(), PipelineConfig::default())
+        MachineConfig::Baseline
     };
-    let mut cpu = Pipeline::new(pipe_config, MemorySystem::new(mem_config));
-    rse::sys::loader::load_process(&mut cpu, &image);
-    let mut engine = Engine::new(RseConfig::default());
-    if icm {
-        let mut module = Icm::new(IcmConfig::default());
-        module.install_for_control_flow(&image, &mut cpu.mem_mut().memory);
-        engine.install(Box::new(module));
-        engine.enable(ModuleId::ICM);
-    }
+    let Machine {
+        mut cpu,
+        mut engine,
+        ..
+    } = Machine::build(&image, config.spec());
     assert_eq!(cpu.run(&mut engine, WARM_UP_CYCLES), StepEvent::Timeout);
     (cpu, engine)
 }

@@ -10,17 +10,21 @@
 //!   permanent state.
 
 use rse::core::testutil::{CountingModule, ScriptedBehavior, ScriptedModule};
-use rse::core::{Engine, RseConfig, Verdict};
+use rse::core::{Engine, Module, Verdict};
 use rse::isa::asm::assemble;
-use rse::isa::ModuleId;
-use rse::mem::{MemConfig, MemorySystem};
-use rse::pipeline::{Pipeline, PipelineConfig, StepEvent};
+use rse::isa::{Image, ModuleId};
+use rse::pipeline::{Pipeline, StepEvent};
+use rse::sys::{Machine, MachineSpec, ModuleSpec};
 
-fn machine() -> Pipeline {
-    Pipeline::new(
-        PipelineConfig::default(),
-        MemorySystem::new(MemConfig::with_framework()),
-    )
+/// The framework machine with `image` loaded and `module` installed and
+/// enabled.
+fn machine(image: &Image, module: impl Module) -> (Pipeline, Engine) {
+    let spec = MachineSpec {
+        modules: vec![ModuleSpec::Custom(Box::new(module))],
+        ..MachineSpec::default()
+    };
+    let m = Machine::build(image, spec);
+    (m.cpu, m.engine)
 }
 
 #[test]
@@ -29,17 +33,14 @@ fn synchronous_check_stalls_commit_for_the_module_latency() {
     // latency must show up in total cycles via commit stalls.
     let image = assemble("main: chk icm, blk, 2, 0\nli r8, 1\nhalt").unwrap();
     let run = |latency: u64| {
-        let mut cpu = machine();
-        cpu.load_image(&image);
-        let mut engine = Engine::new(RseConfig::default());
-        engine.install(Box::new(ScriptedModule::new(
+        let module = ScriptedModule::new(
             ModuleId::ICM,
             ScriptedBehavior::Respond {
                 verdict: Verdict::Pass,
                 latency,
             },
-        )));
-        engine.enable(ModuleId::ICM);
+        );
+        let (mut cpu, mut engine) = machine(&image, module);
         assert_eq!(cpu.run(&mut engine, 1_000_000), StepEvent::Halted);
         (cpu.stats().cycles, cpu.stats().commit_stall_cycles)
     };
@@ -100,14 +101,11 @@ fn synchronous_error_flushes_and_restarts_at_the_check() {
         }
     }
     let image = assemble("main: li r8, 5\nchk icm, blk, 2, 0\naddi r8, r8, 1\nhalt").unwrap();
-    let mut cpu = machine();
-    cpu.load_image(&image);
-    let mut engine = Engine::new(RseConfig::default());
-    engine.install(Box::new(FailOnce {
+    let module = FailOnce {
         failed: false,
         pending: Vec::new(),
-    }));
-    engine.enable(ModuleId::ICM);
+    };
+    let (mut cpu, mut engine) = machine(&image, module);
     assert_eq!(cpu.run(&mut engine, 1_000_000), StepEvent::Halted);
     // The addi after the CHECK executed exactly once despite the flush.
     assert_eq!(cpu.regs()[8], 6);
@@ -118,15 +116,9 @@ fn synchronous_error_flushes_and_restarts_at_the_check() {
 #[test]
 fn asynchronous_check_never_stalls_commit() {
     let image = assemble("main: chk icm, nblk, 2, 0\nli r8, 1\nhalt").unwrap();
-    let mut cpu = machine();
-    cpu.load_image(&image);
-    let mut engine = Engine::new(RseConfig::default());
     // Even a silent module cannot stall an asynchronous CHECK.
-    engine.install(Box::new(ScriptedModule::new(
-        ModuleId::ICM,
-        ScriptedBehavior::Silent,
-    )));
-    engine.enable(ModuleId::ICM);
+    let module = ScriptedModule::new(ModuleId::ICM, ScriptedBehavior::Silent);
+    let (mut cpu, mut engine) = machine(&image, module);
     assert_eq!(cpu.run(&mut engine, 100_000), StepEvent::Halted);
     assert_eq!(cpu.regs()[8], 1);
     assert!(
@@ -150,11 +142,7 @@ fn asynchronous_module_logs_only_committed_state() {
         "#,
     )
     .unwrap();
-    let mut cpu = machine();
-    cpu.load_image(&image);
-    let mut engine = Engine::new(RseConfig::default());
-    engine.install(Box::new(CountingModule::new(ModuleId::ICM)));
-    engine.enable(ModuleId::ICM);
+    let (mut cpu, mut engine) = machine(&image, CountingModule::new(ModuleId::ICM));
     assert_eq!(cpu.run(&mut engine, 1_000_000), StepEvent::Halted);
     let m: &CountingModule = engine.module_ref(ModuleId::ICM).unwrap();
     assert_eq!(m.chk_commits, 1, "exactly one CHECK commits");
@@ -169,11 +157,9 @@ fn disabled_module_makes_checks_transparent() {
     // §3.2 enable/disable unit: with the module disabled, its CHECKs
     // behave like `10` entries and the module sees nothing.
     let image = assemble("main: chk icm, blk, 2, 0\nchk icm, nblk, 2, 0\nli r8, 3\nhalt").unwrap();
-    let mut cpu = machine();
-    cpu.load_image(&image);
-    let mut engine = Engine::new(RseConfig::default());
-    engine.install(Box::new(CountingModule::new(ModuleId::ICM)));
+    let (mut cpu, mut engine) = machine(&image, CountingModule::new(ModuleId::ICM));
     // Not enabled.
+    engine.disable(ModuleId::ICM);
     assert_eq!(cpu.run(&mut engine, 100_000), StepEvent::Halted);
     assert_eq!(cpu.regs()[8], 3);
     let m: &CountingModule = engine.module_ref(ModuleId::ICM).unwrap();
@@ -191,10 +177,9 @@ fn enable_via_check_then_module_participates() {
         "#,
     )
     .unwrap();
-    let mut cpu = machine();
-    cpu.load_image(&image);
-    let mut engine = Engine::new(RseConfig::default());
-    engine.install(Box::new(CountingModule::new(ModuleId::ICM)));
+    let (mut cpu, mut engine) = machine(&image, CountingModule::new(ModuleId::ICM));
+    // Disabled until the guest's ENABLE commits.
+    engine.disable(ModuleId::ICM);
     assert_eq!(cpu.run(&mut engine, 100_000), StepEvent::Halted);
     assert!(engine.is_enabled(ModuleId::ICM));
     let m: &CountingModule = engine.module_ref(ModuleId::ICM).unwrap();
