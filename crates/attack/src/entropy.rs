@@ -32,7 +32,7 @@
 //! victim. Every victim runs the same period sweep, and the
 //! strict-decrease gate holds **per victim**.
 
-use rse_inject::run_sharded;
+use rse_inject::{run_seed, run_sharded};
 use rse_isa::asm::assemble;
 use rse_modules::mlr::{Mlr, MlrConfig};
 use rse_pipeline::StepEvent;
@@ -256,22 +256,17 @@ impl EntropyPoint {
     }
 }
 
-/// Derives the per-trial seed from the study base seed, the sweep
-/// period, and the trial index. Pure and stable.
-fn trial_seed(base_seed: u64, period: u64, trial: u32) -> u64 {
-    let mut s = base_seed ^ fnv1a64(b"attack-entropy");
-    splitmix64(&mut s);
-    s ^= period.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    splitmix64(&mut s);
-    s ^= u64::from(trial);
-    splitmix64(&mut s)
-}
-
-/// The per-trial seed (`trial_seed`) with the victim kind folded in,
-/// so every victim of the corpus study draws an independent attack
-/// schedule from the same base seed. Pure and stable.
+/// The per-trial seed: the campaigns' [`run_seed`] over the study base
+/// seed with the victim kind folded in (so every victim of the corpus
+/// study draws an independent attack schedule from the same base
+/// seed), the sweep period, and the trial index. Pure and stable.
 pub fn corpus_trial_seed(base_seed: u64, kind: &str, period: u64, trial: u32) -> u64 {
-    trial_seed(base_seed ^ fnv1a64(kind.as_bytes()), period, trial)
+    run_seed(
+        base_seed ^ fnv1a64(kind.as_bytes()),
+        "attack-entropy",
+        period,
+        trial,
+    )
 }
 
 /// Runs one leak-then-strike trial against the victim assembled from

@@ -128,7 +128,6 @@ fn ddt_save_cost_sweep() {
             os: Some(OsConfig {
                 num_requests: 60,
                 page_save_cycles: cost,
-                ..OsConfig::default()
             }),
             ..MachineSpec::default()
         };

@@ -17,13 +17,13 @@
 //!
 //! One controller (node id `n`, outside every rack) runs a
 //! [`PeerMonitor`] over all service nodes. Nodes heartbeat every
-//! `heartbeat_every` cycles — *unless busy serving past their backlog*,
+//! `HEARTBEAT_EVERY` cycles — *unless busy serving past their backlog*,
 //! which is how load couples into false suspicion. Each accepted beat
 //! is acked with a lease extension. Suspicion follows the AHBM
 //! adaptive-timeout path: Suspect → probes with exponential backoff →
 //! DeclaredDead. A declared node is *fenced* (acks stop) and its shards
-//! are adopted by ring successors only after `lease_timeout +
-//! reassign_margin`, strictly after every lease it could still hold has
+//! are adopted by ring successors only after `LEASE_TIMEOUT +
+//! REASSIGN_MARGIN`, strictly after every lease it could still hold has
 //! expired — so a node can never serve a shard it no longer owns. The
 //! run ends with a split-brain audit that replays every completion
 //! against the shard move logs; the count must be zero.
@@ -32,10 +32,22 @@
 //! and the run (network jitter, arrival gaps, cascade picks). Events
 //! are ordered by `(time, insertion)`; the monitor visits peers in
 //! sorted order. Same seed, same record bytes, forever.
+//!
+//! # Timing
+//!
+//! Every timing parameter is a constant of this module; a run takes
+//! only its plan, its seed and the measured witness quanta. Three rules
+//! are `const` assertions next to the constants:
+//!
+//! * `REASSIGN_MARGIN` (200) exceeds the network's `MAX_DELAY` (63);
+//! * the monitor's `min_timeout` (1,200) is above two beat periods plus
+//!   the jitter, `2 × 512 + 24`;
+//! * a non-witness request fits inside a lease, `SVC_BASE + SVC_JITTER`
+//!   = 728 < `LEASE_TIMEOUT` = 3,000.
 
 use crate::churn::{ChurnModel, ChurnPlan, ChurnRecord};
 use crate::event::EventQueue;
-use crate::net::{Message, NetConfig, NetPayload, Network};
+use crate::net::{Message, NetPayload, Network, JITTER, MAX_DELAY};
 use crate::NodeId;
 use rse_modules::ahbm::{AhbmConfig, PeerConfig, PeerEvent, PeerMonitor, PeerState};
 use rse_support::rng::{fnv1a64, splitmix64};
@@ -62,87 +74,50 @@ impl NetPayload for ChaosPayload {
     }
 }
 
-/// Chaos-engine tunables. Defaults are the campaign configuration; unit
-/// tests shrink them to keep debug runs fast.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosConfig {
-    /// Network delay/jitter/loss model.
-    pub net: NetConfig,
-    /// Node heartbeat period.
-    pub heartbeat_every: u64,
-    /// Controller monitor sampling cadence (= AHBM sample interval).
-    pub monitor_cadence: u64,
-    /// Lease granted per ack, cycles.
-    pub lease_timeout: u64,
-    /// Extra wait between fencing and shard adoption, beyond the lease
-    /// (must exceed the maximum network delay).
-    pub reassign_margin: u64,
-    /// Client retry backoff.
-    pub retry_after: u64,
-    /// Client gives up this long after arrival.
-    pub request_deadline: u64,
-    /// Maximum backlog (cycles of queued work) before a node sheds load.
-    pub queue_cap: u64,
-    /// Per-request service cost for non-witness nodes.
-    pub svc_base: u64,
-    /// Deterministic per-(node, request) service jitter bound.
-    pub svc_jitter: u64,
-    /// Nodes priced by the measured witness quanta instead of
-    /// `svc_base` (ids `0..witnesses`).
-    pub witnesses: u16,
-    /// Measured per-request progress quanta (the witness run on the
-    /// reference interpreter); empty disables witness pricing.
-    pub witness_quanta: Vec<u64>,
-    /// AHBM minimum adaptive timeout.
-    pub min_timeout: u64,
-    /// AHBM initial timeout (startup grace).
-    pub initial_timeout: u64,
-    /// Probe backoff base (`probe_base << n`).
-    pub probe_base: u64,
-    /// Probes before DeclaredDead.
-    pub max_probes: u32,
-}
+/// Node heartbeat period.
+const HEARTBEAT_EVERY: u64 = 512;
+/// Controller monitor sampling cadence (= AHBM sample interval).
+const MONITOR_CADENCE: u64 = 256;
+/// Lease granted per ack, cycles.
+const LEASE_TIMEOUT: u64 = 3_000;
+/// Extra wait between fencing and shard adoption, beyond the lease.
+const REASSIGN_MARGIN: u64 = 200;
+/// Client retry backoff.
+const RETRY_AFTER: u64 = 400;
+/// Client gives up this long after arrival.
+const REQUEST_DEADLINE: u64 = 8_000;
+/// Maximum backlog (cycles of queued work) before a node sheds load.
+const QUEUE_CAP: u64 = 8_000;
+/// Per-request service cost for non-witness nodes.
+const SVC_BASE: u64 = 600;
+/// Deterministic per-(node, request) service jitter bound.
+const SVC_JITTER: u64 = 128;
+/// Nodes priced by the measured witness quanta instead of `SVC_BASE`
+/// (ids `0..WITNESSES`). A measured quantum (3,609 or 3,612 cycles)
+/// exceeds `LEASE_TIMEOUT`, so these nodes refuse every request they
+/// own; a fix moves the churn golden.
+const WITNESSES: u16 = 4;
+/// The controller's monitor.
+const PEER: PeerConfig = PeerConfig {
+    ahbm: AhbmConfig {
+        sample_interval: MONITOR_CADENCE,
+        min_timeout: 1_200,
+        initial_timeout: 2_048,
+        ..AhbmConfig::DEFAULT
+    },
+    probe_base: 512,
+    max_probes: 3,
+};
 
-impl Default for ChaosConfig {
-    fn default() -> ChaosConfig {
-        ChaosConfig {
-            net: NetConfig::default(),
-            heartbeat_every: 512,
-            monitor_cadence: 256,
-            lease_timeout: 3_000,
-            reassign_margin: 200,
-            retry_after: 400,
-            request_deadline: 8_000,
-            queue_cap: 8_000,
-            svc_base: 600,
-            svc_jitter: 128,
-            witnesses: 4,
-            witness_quanta: Vec::new(),
-            // Above two beat periods plus the jitter bound: one missed
-            // beat never suspects; two in a row (sustained saturation,
-            // partition, or death) does.
-            min_timeout: 1_200,
-            initial_timeout: 2_048,
-            probe_base: 512,
-            max_probes: 3,
-        }
-    }
-}
-
-impl ChaosConfig {
-    fn peer_config(&self) -> PeerConfig {
-        PeerConfig {
-            ahbm: AhbmConfig {
-                sample_interval: self.monitor_cadence,
-                min_timeout: self.min_timeout,
-                initial_timeout: self.initial_timeout,
-                ..AhbmConfig::default()
-            },
-            probe_base: self.probe_base,
-            max_probes: self.max_probes,
-        }
-    }
-}
+// The reassign margin outlasts any message still in flight when the
+// fenced node's lease expires.
+const _: () = assert!(REASSIGN_MARGIN > MAX_DELAY);
+// One missed beat never suspects; two in a row (sustained saturation,
+// partition, or death) do.
+const _: () = assert!(PEER.ahbm.min_timeout > 2 * HEARTBEAT_EVERY + JITTER);
+// `dispatch` refuses work that would outlive the owner's lease, so a
+// node whose requests cost more than a lease never serves one.
+const _: () = assert!(SVC_BASE + SVC_JITTER < LEASE_TIMEOUT);
 
 /// The discrete events of the chaos engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -218,8 +193,10 @@ struct Request {
 }
 
 /// The chaos engine. Build implicitly through [`ChaosSim::run`].
-pub struct ChaosSim {
-    cfg: ChaosConfig,
+pub struct ChaosSim<'q> {
+    /// Measured per-request progress quanta pricing the witness nodes;
+    /// empty disables witness pricing.
+    witness_quanta: &'q [u64],
     plan: ChurnPlan,
     n: u16,
     ctrl: NodeId,
@@ -244,35 +221,30 @@ pub struct ChaosSim {
     out: ChaosOutcome,
 }
 
-impl ChaosSim {
-    /// Runs `plan` under `cfg` from `seed`. Pure: same inputs, same
-    /// outcome — the campaign seed replays the whole fleet history.
-    pub fn run(cfg: &ChaosConfig, plan: &ChurnPlan, seed: u64) -> ChaosOutcome {
-        assert!(
-            cfg.reassign_margin > cfg.net.max_delay(),
-            "reassign margin must outlast in-flight messages"
-        );
+impl ChaosSim<'_> {
+    /// Runs `plan` from `seed`, pricing requests served by the witness
+    /// nodes with `witness_quanta` (the measured [`witness_quanta`], or
+    /// none). Pure: same inputs, same outcome — the campaign seed
+    /// replays the whole fleet history.
+    pub fn run(plan: &ChurnPlan, seed: u64, witness_quanta: &[u64]) -> ChaosOutcome {
         let n = plan.nodes;
         let mut s = seed;
         let net_seed = splitmix64(&mut s);
         let sim_rng = splitmix64(&mut s);
-        let mut net = Network::new(cfg.net, net_seed);
+        let mut net = Network::new(net_seed);
         let racks = plan.rack_vector();
         net.set_racks(racks.clone());
         for cut in &plan.cuts {
             net.add_rack_cut(cut.rack, cut.from, cut.from + cut.dur);
         }
-        let tail = cfg.request_deadline
-            + cfg.lease_timeout
-            + cfg.reassign_margin
-            + 2 * cfg.heartbeat_every;
+        let tail = REQUEST_DEADLINE + LEASE_TIMEOUT + REASSIGN_MARGIN + 2 * HEARTBEAT_EVERY;
         let horizon = plan.duration + tail;
-        let mut monitor = PeerMonitor::new(cfg.peer_config());
+        let mut monitor = PeerMonitor::new(PEER);
         for p in 0..n {
             monitor.register(p, 0);
         }
         let mut sim = ChaosSim {
-            cfg: cfg.clone(),
+            witness_quanta,
             plan: plan.clone(),
             n,
             ctrl: n,
@@ -284,7 +256,7 @@ impl ChaosSim {
             busy_until: vec![0; n.into()],
             // Bootstrap lease so startup is not a retry storm; every
             // extension thereafter is earned through acked beats.
-            lease_until: vec![cfg.lease_timeout; n.into()],
+            lease_until: vec![LEASE_TIMEOUT; n.into()],
             fencing: vec![false; n.into()],
             epoch: vec![0; n.into()],
             down_at: vec![0; n.into()],
@@ -332,11 +304,10 @@ impl ChaosSim {
     fn seed_events(&mut self) {
         for p in 0..self.n {
             // Stagger first beats so a thousand nodes don't synchronize.
-            let offset = 1 + (u64::from(p) * 31) % self.cfg.heartbeat_every;
+            let offset = 1 + (u64::from(p) * 31) % HEARTBEAT_EVERY;
             self.q.push(offset, ChaosEvent::NodeBeat(p));
         }
-        self.q
-            .push(self.cfg.monitor_cadence, ChaosEvent::MonitorWake);
+        self.q.push(MONITOR_CADENCE, ChaosEvent::MonitorWake);
         self.q.push(1, ChaosEvent::Arrival);
         let waves = self.plan.waves.clone();
         for w in &waves {
@@ -404,7 +375,7 @@ impl ChaosSim {
         } else {
             self.monitor.beat(p, now);
         }
-        let until = now + self.cfg.lease_timeout;
+        let until = now + LEASE_TIMEOUT;
         self.send(now, self.ctrl, p, ChaosPayload::Ack { until });
     }
 
@@ -414,10 +385,10 @@ impl ChaosSim {
         // is saturated and skips the beat: sustained load shows up as
         // suspicion (the false-suspicion-vs-load SLO), while a single
         // in-flight request does not perturb the monitor.
-        if self.up[pi] && self.busy_until[pi].saturating_sub(now) <= self.cfg.heartbeat_every {
+        if self.up[pi] && self.busy_until[pi].saturating_sub(now) <= HEARTBEAT_EVERY {
             self.send(now, p, self.ctrl, ChaosPayload::Beat);
         }
-        let next = now + self.cfg.heartbeat_every;
+        let next = now + HEARTBEAT_EVERY;
         if next < self.horizon {
             self.q.push(next, ChaosEvent::NodeBeat(p));
         }
@@ -443,14 +414,14 @@ impl ChaosSim {
                         self.fencing[pi] = true;
                         self.epoch[pi] = self.epoch[pi].wrapping_add(1);
                         self.declared_at[pi] = now;
-                        let at = now + self.cfg.lease_timeout + self.cfg.reassign_margin;
+                        let at = now + LEASE_TIMEOUT + REASSIGN_MARGIN;
                         self.q.push(at, ChaosEvent::Reassign(p, self.epoch[pi]));
                     }
                 }
                 PeerEvent::Refuted(_) => {}
             }
         }
-        let next = now + self.cfg.monitor_cadence;
+        let next = now + MONITOR_CADENCE;
         if next < self.horizon {
             self.q.push(next, ChaosEvent::MonitorWake);
         }
@@ -475,15 +446,15 @@ impl ChaosSim {
     }
 
     fn svc_cost(&self, owner: NodeId, id: u32) -> u64 {
-        let base = if owner < self.cfg.witnesses && !self.cfg.witness_quanta.is_empty() {
-            self.cfg.witness_quanta[id as usize % self.cfg.witness_quanta.len()]
+        let base = if owner < WITNESSES && !self.witness_quanta.is_empty() {
+            self.witness_quanta[id as usize % self.witness_quanta.len()]
         } else {
-            self.cfg.svc_base
+            SVC_BASE
         };
         let mut key = [0u8; 6];
         key[..2].copy_from_slice(&owner.to_le_bytes());
         key[2..].copy_from_slice(&id.to_le_bytes());
-        base + fnv1a64(&key) % (self.cfg.svc_jitter + 1)
+        base + fnv1a64(&key) % (SVC_JITTER + 1)
     }
 
     fn dispatch(&mut self, now: u64, id: u32) {
@@ -497,16 +468,15 @@ impl ChaosSim {
         let shard = (fnv1a64(&id.to_le_bytes()) % u64::from(self.n)) as u16;
         let owner = self.routing[usize::from(shard)];
         let oi = usize::from(owner);
-        let deadline_at = arrival + self.cfg.request_deadline;
+        let deadline_at = arrival + REQUEST_DEADLINE;
         let mut completion = 0;
         let reachable = self.up[oi] && !self.net.rack_cut(owner, self.ctrl, now);
-        let accepted =
-            reachable && self.busy_until[oi].saturating_sub(now) <= self.cfg.queue_cap && {
-                completion = now.max(self.busy_until[oi]) + self.svc_cost(owner, id);
-                // The owner refuses work it cannot finish inside its
-                // lease: this is the fencing half of zero split-brain.
-                completion <= self.lease_until[oi] && completion <= deadline_at
-            };
+        let accepted = reachable && self.busy_until[oi].saturating_sub(now) <= QUEUE_CAP && {
+            completion = now.max(self.busy_until[oi]) + self.svc_cost(owner, id);
+            // The owner refuses work it cannot finish inside its
+            // lease: this is the fencing half of zero split-brain.
+            completion <= self.lease_until[oi] && completion <= deadline_at
+        };
         if accepted {
             self.busy_until[oi] = completion;
             self.out.served += 1;
@@ -517,7 +487,7 @@ impl ChaosSim {
             self.requests[id as usize].done = true;
         } else {
             self.requests[id as usize].attempts += 1;
-            let retry_at = now + self.cfg.retry_after;
+            let retry_at = now + RETRY_AFTER;
             if retry_at >= deadline_at {
                 self.out.lost += 1;
                 self.requests[id as usize].done = true;
@@ -726,14 +696,11 @@ pub fn witness_quanta() -> &'static [u64] {
     })
 }
 
-/// Runs a churn campaign: witness quanta are measured once, then every
-/// cell runs under the default [`ChaosConfig`]. Returns one
-/// [`ChurnRecord`] per run, in spec order.
+/// Runs a churn campaign: witness quanta are measured once, then price
+/// the witness nodes of every cell's runs. Returns one [`ChurnRecord`]
+/// per run, in spec order.
 pub fn run_churn(spec: &ChurnSpec) -> Vec<ChurnRecord> {
-    let cfg = ChaosConfig {
-        witness_quanta: witness_quanta().to_vec(),
-        ..ChaosConfig::default()
-    };
+    let quanta = witness_quanta();
     let mut records = Vec::with_capacity(spec.total_runs() as usize);
     for cell in &spec.cells {
         for run in 0..cell.runs {
@@ -743,7 +710,7 @@ pub fn run_churn(spec: &ChurnSpec) -> Vec<ChurnRecord> {
             let sim_seed = splitmix64(&mut s);
             let plan =
                 ChurnPlan::sample(cell.model, plan_seed, spec.nodes, spec.racks, spec.duration);
-            let out = ChaosSim::run(&cfg, &plan, sim_seed);
+            let out = ChaosSim::run(&plan, sim_seed, quanta);
             records.push(ChurnRecord {
                 model: cell.model.name(),
                 nodes: spec.nodes,
@@ -773,27 +740,20 @@ mod tests {
     use super::*;
     use crate::churn::{Crash, RackCut};
 
-    fn small_cfg() -> ChaosConfig {
-        ChaosConfig {
-            svc_base: 300,
-            ..ChaosConfig::default()
-        }
-    }
-
     fn steady_plan(nodes: u16, racks: u16, duration: u64) -> ChurnPlan {
         ChurnPlan::sample(ChurnModel::Steady, 1, nodes, racks, duration)
     }
 
     #[test]
     fn steady_fleet_serves_everything() {
-        let plan = steady_plan(8, 2, 40_000);
-        let out = ChaosSim::run(&small_cfg(), &plan, 11);
+        let plan = steady_plan(16, 2, 40_000);
+        let out = ChaosSim::run(&plan, 11, &[]);
         assert!(out.requests > 50, "load ran: {} requests", out.requests);
         assert_eq!(out.lost, 0, "steady fleet drops nothing");
         assert_eq!(out.failovers, 0);
         assert_eq!(out.split_brain, 0);
         assert_eq!(out.availability_ppm(), 1_000_000);
-        assert_eq!(out, ChaosSim::run(&small_cfg(), &plan, 11), "replayable");
+        assert_eq!(out, ChaosSim::run(&plan, 11, &[]), "replayable");
     }
 
     #[test]
@@ -803,7 +763,7 @@ mod tests {
             node: 3,
             at: 15_000,
         });
-        let out = ChaosSim::run(&small_cfg(), &plan, 5);
+        let out = ChaosSim::run(&plan, 5, &[]);
         assert!(out.failovers >= 1, "crash must fail over: {out:?}");
         assert_eq!(out.split_brain, 0);
         assert!(out.suspicions >= 1);
@@ -824,7 +784,7 @@ mod tests {
             from: 20_000,
             dur: 20_000,
         });
-        let out = ChaosSim::run(&small_cfg(), &plan, 9);
+        let out = ChaosSim::run(&plan, 9, &[]);
         // All four rack-1 nodes become unreachable and fail over.
         assert!(out.failovers >= 4, "{out:?}");
         assert_eq!(out.split_brain, 0);
@@ -838,7 +798,7 @@ mod tests {
     fn restart_wave_cancels_or_fails_over_but_never_forks() {
         let plan = ChurnPlan::sample(ChurnModel::RollingRestart, 21, 16, 4, 80_000);
         assert!(!plan.waves.is_empty());
-        let out = ChaosSim::run(&small_cfg(), &plan, 3);
+        let out = ChaosSim::run(&plan, 3, &[]);
         assert_eq!(out.split_brain, 0);
         assert!(out.suspicions > 0, "restarts must be noticed: {out:?}");
         assert!(out.served > 0);
@@ -847,11 +807,11 @@ mod tests {
     #[test]
     fn full_weather_replays_bit_identically() {
         let plan = ChurnPlan::sample(ChurnModel::FullWeather, 77, 24, 4, 60_000);
-        let a = ChaosSim::run(&small_cfg(), &plan, 13);
-        let b = ChaosSim::run(&small_cfg(), &plan, 13);
+        let a = ChaosSim::run(&plan, 13, &[]);
+        let b = ChaosSim::run(&plan, 13, &[]);
         assert_eq!(a, b);
         assert_eq!(a.split_brain, 0);
-        let c = ChaosSim::run(&small_cfg(), &plan, 14);
+        let c = ChaosSim::run(&plan, 14, &[]);
         assert_ne!(a, c, "seed must matter");
     }
 
@@ -863,14 +823,10 @@ mod tests {
         let mut pinned = [3609u64; 16];
         pinned[0] = 3612;
         assert_eq!(q, pinned);
-        let cfg = ChaosConfig {
-            witness_quanta: q.to_vec(),
-            ..small_cfg()
-        };
         let plan = steady_plan(8, 2, 30_000);
-        let out = ChaosSim::run(&cfg, &plan, 2);
+        let out = ChaosSim::run(&plan, 2, q);
         assert_eq!(out.split_brain, 0);
-        assert_eq!(out, ChaosSim::run(&cfg, &plan, 2));
+        assert_eq!(out, ChaosSim::run(&plan, 2, q));
     }
 
     #[test]

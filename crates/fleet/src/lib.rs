@@ -4,9 +4,9 @@
 //! the single-node fault-injection campaigns use) hosting a guest
 //! workload that emits heartbeats at its safe-point syscalls. Nodes are
 //! connected by a simulated lossy network ([`net::Network`]): per-link
-//! delay + jitter, random loss, one-shot partitions, and heartbeat-loss
-//! bursts — every draw from the in-repo splitmix64, so a `(seed,
-//! config)` pair replays the exact same fleet history on any host.
+//! delay + jitter, one-shot partitions, rack cuts, and heartbeat-loss
+//! bursts — every draw from the in-repo splitmix64, so a seed replays
+//! the exact same fleet history on any host.
 //!
 //! The AHBM is extended from local-entity to remote-peer monitoring
 //! ([`rse_modules::PeerMonitor`]): incoming heartbeats feed a Q16.16
@@ -26,6 +26,13 @@
 //! `split-brain`, `unrecovered`, ...); [`soak`] drives seeded
 //! multi-run soak campaigns over the node-level fault models in
 //! [`fault`].
+//!
+//! Timing is not configurable: the network, the 5-node simulator and
+//! the chaos engine each keep their timing as constants, with the rules
+//! their safety rests on checked by `const` assertions. A run sets only
+//! [`FleetConfig::nodes`] and [`FleetConfig::scheduler`], the
+//! [`FleetSpec`] and [`ChurnSpec`] fields, and the witness quanta
+//! [`ChaosSim::run`] prices the witness nodes with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,13 +51,13 @@ pub mod soak;
 pub type NodeId = u16;
 
 pub use chaos::{
-    derive_churn_seed, run_churn, witness_quanta, ChaosConfig, ChaosOutcome, ChaosPayload,
-    ChaosSim, ChurnCell, ChurnSpec,
+    derive_churn_seed, run_churn, witness_quanta, ChaosOutcome, ChaosPayload, ChaosSim, ChurnCell,
+    ChurnSpec,
 };
 pub use churn::{churn_to_jsonl, ChurnModel, ChurnPlan, ChurnRecord};
 pub use event::{align_up, EventQueue};
 pub use fault::{FleetProfile, NodeFault, NodeFaultModel, NodeFaultPlan};
-pub use net::{Message, NetConfig, NetPayload, NetStats, Network, Payload, NO_RACK};
+pub use net::{Message, NetPayload, NetStats, Network, Payload, NO_RACK};
 pub use node::{FenceKind, Guest, Node, NodeStatus};
 pub use protocol::{FailoverOrder, NodeProtocol, ProtoMsg};
 pub use sim::{FleetConfig, FleetOutcome, FleetSim, Scheduler};

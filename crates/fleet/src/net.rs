@@ -1,10 +1,10 @@
 //! The simulated lossy network connecting fleet nodes.
 //!
-//! Messages are delayed by a per-link distribution (base + uniform
-//! jitter), dropped with a configurable probability, and blocked by
-//! one-shot node partitions, rack-correlated cuts, and heartbeat-loss
-//! bursts — all driven by the in-repo splitmix64 PRNG so a `(seed,
-//! config)` pair replays the exact same message history on any host.
+//! Messages are delayed by a per-link distribution (`BASE_DELAY` plus
+//! uniform jitter below `JITTER`) and blocked by one-shot node
+//! partitions, rack-correlated cuts, and heartbeat-loss bursts. The
+//! jitter is drawn from the in-repo splitmix64 PRNG, so a seed replays
+//! the exact same message history on any host.
 //!
 //! The network is generic over its payload type ([`NetPayload`]): the
 //! 5-node protocol fabric ships [`Payload`] (heartbeats, snapshots,
@@ -13,9 +13,9 @@
 //!
 //! Determinism: the in-flight queue is a `BTreeMap` keyed by
 //! `(deliver_at, seq)` where `seq` is a global send counter, so
-//! same-cycle deliveries come out in send order; every random draw
-//! (drop sampling, delay jitter) happens at `send` time in the caller's
-//! deterministic send order.
+//! same-cycle deliveries come out in send order; the one random draw
+//! per message (its delay jitter) happens at `send` time in the
+//! caller's deterministic send order.
 //!
 //! # Partition-crossing semantics
 //!
@@ -116,33 +116,12 @@ pub struct Message<P = Payload> {
     pub payload: P,
 }
 
-/// Network timing/loss parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetConfig {
-    /// Fixed per-link delay, cycles.
-    pub base_delay: u64,
-    /// Uniform jitter added to the delay: `[0, jitter)` cycles.
-    pub jitter: u64,
-    /// Background random-loss probability, per mille (0 = lossless).
-    pub drop_permille: u16,
-}
-
-impl NetConfig {
-    /// The largest delay this configuration can sample.
-    pub fn max_delay(&self) -> u64 {
-        self.base_delay + self.jitter.saturating_sub(1)
-    }
-}
-
-impl Default for NetConfig {
-    fn default() -> NetConfig {
-        NetConfig {
-            base_delay: 40,
-            jitter: 24,
-            drop_permille: 0,
-        }
-    }
-}
+/// Fixed per-link delay, cycles.
+pub(crate) const BASE_DELAY: u64 = 40;
+/// Uniform jitter added to the delay: `[0, JITTER)` cycles.
+pub(crate) const JITTER: u64 = 24;
+/// The largest delay a send can sample.
+pub(crate) const MAX_DELAY: u64 = BASE_DELAY + JITTER - 1;
 
 /// Network loss/delivery counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -151,8 +130,6 @@ pub struct NetStats {
     pub sent: u64,
     /// Messages delivered.
     pub delivered: u64,
-    /// Messages lost to background random loss.
-    pub dropped_random: u64,
     /// Messages whose flight touched an active node partition.
     pub dropped_partition: u64,
     /// Messages whose flight crossed a rack-correlated cut.
@@ -186,7 +163,6 @@ impl WindowOn {
 /// The simulated lossy network.
 #[derive(Debug, Clone)]
 pub struct Network<P = Payload> {
-    cfg: NetConfig,
     rng: u64,
     seq: u64,
     /// In flight: `(deliver_at, seq) -> (sent_at, message)`.
@@ -206,9 +182,8 @@ pub struct Network<P = Payload> {
 
 impl<P: NetPayload> Network<P> {
     /// Creates a network with its own PRNG stream.
-    pub fn new(cfg: NetConfig, seed: u64) -> Network<P> {
+    pub fn new(seed: u64) -> Network<P> {
         Network {
-            cfg,
             rng: seed,
             seq: 0,
             queue: BTreeMap::new(),
@@ -311,8 +286,8 @@ impl<P: NetPayload> Network<P> {
             .any(|w| w.touches(sent, now) && self.link_crosses_rack(src, dst, w.key))
     }
 
-    /// Sends a message at cycle `now`: samples loss and delay, then
-    /// queues it. Returns the delivery cycle if the message was queued
+    /// Sends a message at cycle `now`: samples its delay, then queues
+    /// it. Returns the delivery cycle if the message was queued
     /// (event-driven callers schedule their delivery wake from it), or
     /// `None` if it was dropped at send time. Partition checks re-run at
     /// delivery time against the whole flight interval, so a message in
@@ -331,18 +306,7 @@ impl<P: NetPayload> Network<P> {
             self.stats.dropped_burst += 1;
             return None;
         }
-        if self.cfg.drop_permille > 0
-            && splitmix64(&mut self.rng) % 1000 < u64::from(self.cfg.drop_permille)
-        {
-            self.stats.dropped_random += 1;
-            return None;
-        }
-        let jitter = if self.cfg.jitter == 0 {
-            0
-        } else {
-            splitmix64(&mut self.rng) % self.cfg.jitter
-        };
-        let at = now + self.cfg.base_delay + jitter;
+        let at = now + BASE_DELAY + splitmix64(&mut self.rng) % JITTER;
         self.queue.insert((at, self.seq), (now, msg));
         self.seq += 1;
         self.stats.sent += 1;
@@ -386,39 +350,45 @@ mod tests {
         }
     }
 
-    fn lossless(base_delay: u64) -> NetConfig {
-        NetConfig {
-            base_delay,
-            jitter: 0,
-            drop_permille: 0,
-        }
+    /// Sends `msg` at `now`, checks that it was queued for delivery
+    /// inside `[now + BASE_DELAY, now + MAX_DELAY]`, and returns that
+    /// cycle.
+    fn send_in_window(net: &mut Network, now: u64, msg: Message) -> u64 {
+        let at = net.send(now, msg).expect("queued");
+        assert!(
+            (now + BASE_DELAY..=now + MAX_DELAY).contains(&at),
+            "sent at {now}, due at {at}"
+        );
+        at
     }
 
     #[test]
     fn delivery_respects_delay_and_order() {
-        let mut net = Network::new(lossless(10), 7);
-        assert_eq!(net.send(0, beat(0, 1)), Some(10));
-        assert_eq!(net.send(0, beat(0, 2)), Some(10));
-        assert!(net.deliver_due(9).is_empty());
-        let got = net.deliver_due(10);
-        assert_eq!(got.len(), 2);
-        // Same deliver cycle: send order preserved.
-        assert_eq!(got[0].dst, 1);
-        assert_eq!(got[1].dst, 2);
+        let mut net = Network::new(7);
+        // More messages than jitter values, so some share a delivery
+        // cycle and send order must break the tie.
+        let due: Vec<u64> = (0..64)
+            .map(|dst| send_in_window(&mut net, 0, beat(0, dst)))
+            .collect();
+        assert!(net.deliver_due(BASE_DELAY - 1).is_empty());
+        let got: Vec<NodeId> = net.deliver_due(MAX_DELAY).iter().map(|m| m.dst).collect();
+        let mut order: Vec<NodeId> = (0..64).collect();
+        order.sort_by_key(|&dst| (due[usize::from(dst)], dst));
+        assert_eq!(got, order);
     }
 
     #[test]
     fn partitions_block_both_directions_and_in_flight() {
-        let mut net = Network::new(lossless(10), 7);
+        let mut net = Network::new(7);
         net.add_partition(1, 5, 100);
         assert_eq!(net.send(6, beat(1, 0)), None); // from: dropped at send
         assert_eq!(net.send(6, beat(0, 1)), None); // to: dropped at send
         assert!(net.deliver_due(50).is_empty());
         // In flight when the partition begins: dropped at delivery.
-        let mut net = Network::new(lossless(10), 7);
+        let mut net = Network::new(7);
         net.add_partition(1, 5, 100);
-        net.send(0, beat(0, 1)); // due at 10, partition starts at 5
-        assert!(net.deliver_due(20).is_empty());
+        let at = send_in_window(&mut net, 0, beat(0, 1)); // partition starts at 5
+        assert!(net.deliver_due(at).is_empty());
         assert_eq!(net.stats().dropped_partition, 1);
     }
 
@@ -428,53 +398,54 @@ mod tests {
         // polled only AFTER the heal must be dropped, not delivered as
         // if the partition never happened. (The flight interval
         // [2, 150] spans the whole [5, 100) window.)
-        let mut net = Network::new(lossless(10), 7);
+        let mut net = Network::new(7);
         net.add_partition(1, 5, 100);
-        assert_eq!(net.send(2, beat(0, 1)), Some(12)); // queued pre-partition
+        send_in_window(&mut net, 2, beat(0, 1)); // queued pre-partition
         let got = net.deliver_due(150); // first poll is post-heal
         assert!(got.is_empty(), "stale pre-partition message delivered");
         assert_eq!(net.stats().dropped_partition, 1);
         assert_eq!(net.stats().delivered, 0);
         // Traffic sent after the heal flows again.
-        assert_eq!(net.send(150, beat(0, 1)), Some(160));
-        assert_eq!(net.deliver_due(160).len(), 1);
+        let at = send_in_window(&mut net, 150, beat(0, 1));
+        assert_eq!(net.deliver_due(at).len(), 1);
     }
 
     #[test]
     fn flights_entirely_outside_the_window_are_unaffected() {
-        let mut net = Network::new(lossless(10), 7);
-        net.add_partition(1, 50, 60);
-        // Flight [0, 10]: completes before the window opens.
-        net.send(0, beat(0, 1));
-        assert_eq!(net.deliver_due(10).len(), 1);
-        // Flight [60, 70]: starts at the instant the window closes.
-        net.send(60, beat(0, 1));
-        assert_eq!(net.deliver_due(70).len(), 1);
+        let mut net = Network::new(7);
+        let (from, to) = (MAX_DELAY + 1, MAX_DELAY + 11);
+        net.add_partition(1, from, to);
+        // Flight [0, at ≤ MAX_DELAY]: completes before the window opens.
+        let at = send_in_window(&mut net, 0, beat(0, 1));
+        assert_eq!(net.deliver_due(at).len(), 1);
+        // Flight [to, …]: starts at the instant the window closes.
+        let at = send_in_window(&mut net, to, beat(0, 1));
+        assert_eq!(net.deliver_due(at).len(), 1);
         assert_eq!(net.stats().dropped_partition, 0);
     }
 
     #[test]
     fn rack_cut_blocks_only_boundary_crossing_links() {
         // Nodes 0,1 in rack 0; nodes 2,3 in rack 1; node 4 rackless.
-        let mut net = Network::new(lossless(10), 7);
+        let mut net = Network::new(7);
         net.set_racks(vec![0, 0, 1, 1]);
         net.add_rack_cut(0, 5, 100);
         assert_eq!(net.send(10, beat(0, 2)), None); // crosses out of rack 0
         assert_eq!(net.send(10, beat(3, 1)), None); // crosses into rack 0
         assert_eq!(net.send(10, beat(4, 0)), None); // rackless → rack 0
-        assert!(net.send(10, beat(0, 1)).is_some()); // intra-rack survives
-        assert!(net.send(10, beat(2, 3)).is_some()); // other rack untouched
-        assert!(net.send(10, beat(2, 4)).is_some()); // fully outside
-        assert_eq!(net.deliver_due(50).len(), 3);
+        send_in_window(&mut net, 10, beat(0, 1)); // intra-rack survives
+        send_in_window(&mut net, 10, beat(2, 3)); // other rack untouched
+        send_in_window(&mut net, 10, beat(2, 4)); // fully outside
+        assert_eq!(net.deliver_due(10 + MAX_DELAY).len(), 3);
         assert_eq!(net.stats().dropped_rack, 3);
         // After the cut heals, cross-boundary links work again.
-        assert!(net.send(100, beat(0, 2)).is_some());
-        assert_eq!(net.deliver_due(120).len(), 1);
+        let at = send_in_window(&mut net, 100, beat(0, 2));
+        assert_eq!(net.deliver_due(at).len(), 1);
     }
 
     #[test]
     fn rack_cut_drops_in_flight_crossing_messages() {
-        let mut net = Network::new(lossless(10), 7);
+        let mut net = Network::new(7);
         net.set_racks(vec![0, 0, 1]);
         net.add_rack_cut(1, 5, 100);
         net.send(0, beat(0, 2)); // in flight when the cut starts
@@ -487,7 +458,7 @@ mod tests {
 
     #[test]
     fn beat_loss_drops_only_beats() {
-        let mut net = Network::new(lossless(1), 7);
+        let mut net = Network::new(7);
         net.add_beat_loss(2, 0, 100);
         net.send(10, beat(2, 0));
         net.send(10, beat(0, 2)); // inbound beats unaffected
@@ -499,38 +470,26 @@ mod tests {
                 payload: Payload::Probe,
             },
         );
-        let got = net.deliver_due(50);
+        let got = net.deliver_due(10 + MAX_DELAY);
         assert_eq!(got.len(), 2);
         assert_eq!(net.stats().dropped_burst, 1);
     }
 
     #[test]
     fn max_delay_bounds_every_sampled_delivery() {
-        let cfg = NetConfig {
-            base_delay: 5,
-            jitter: 16,
-            drop_permille: 0,
-        };
-        assert_eq!(cfg.max_delay(), 20);
-        let mut net: Network = Network::new(cfg, 99);
-        for t in 0..200u64 {
-            let at = net.send(t, beat(0, 1)).expect("lossless");
-            assert!(at >= t + 5 && at <= t + cfg.max_delay());
-        }
-        assert_eq!(NetConfig { jitter: 0, ..cfg }.max_delay(), 5);
+        let mut net: Network = Network::new(99);
+        let delays: Vec<u64> = (0..200u64)
+            .map(|t| send_in_window(&mut net, t, beat(0, 1)) - t)
+            .collect();
+        // Both bounds are tight: each extreme is sampled.
+        assert_eq!(delays.iter().min(), Some(&BASE_DELAY));
+        assert_eq!(delays.iter().max(), Some(&MAX_DELAY));
     }
 
     #[test]
     fn same_seed_replays_identically() {
         let run = |seed: u64| {
-            let mut net = Network::new(
-                NetConfig {
-                    base_delay: 5,
-                    jitter: 16,
-                    drop_permille: 200,
-                },
-                seed,
-            );
+            let mut net = Network::new(seed);
             for t in 0..200u64 {
                 net.send(t, beat((t % 3) as NodeId, ((t + 1) % 3) as NodeId));
             }
@@ -542,6 +501,6 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).1.delivered, 0);
-        assert_ne!(run(42).1.dropped_random, 0);
+        assert_ne!(run(42), run(43), "the seed drives the jitter");
     }
 }

@@ -3,11 +3,12 @@
 //! fencing state of the failover protocol.
 
 use crate::protocol::NodeProtocol;
+use crate::sim::{LEASE_TIMEOUT, PEER, TICK};
 use crate::NodeId;
 use rse_inject::{build_harness, ArchSnapshot, Workload};
 use rse_isa::asm::assemble;
 use rse_isa::Image;
-use rse_modules::{PeerConfig, PeerMonitor};
+use rse_modules::PeerMonitor;
 use rse_pipeline::{CpuContext, Pipeline};
 use std::collections::BTreeMap;
 
@@ -126,8 +127,8 @@ pub struct Node {
 
 impl Node {
     /// Creates node `id` of an `n`-node fleet running workload `w`.
-    pub fn new(id: NodeId, n: u16, w: &Workload, peer: PeerConfig) -> Node {
-        let mut monitor = PeerMonitor::new(peer);
+    pub fn new(id: NodeId, n: u16, w: &Workload) -> Node {
+        let mut monitor = PeerMonitor::new(PEER);
         for p in 0..n {
             if p != id {
                 monitor.register(p, 0);
@@ -171,11 +172,11 @@ impl Node {
     ///
     /// The deadline sources mirror the turn phases of
     /// [`crate::FleetSim`]: lease expiry, the suspicion ladder, guest
-    /// quanta (a runnable guest advances every `tick`), the armed
+    /// quanta (a runnable guest advances every tick), the armed
     /// rejoin-petition backoff, and the idle-beat timer. Deliveries are
     /// not represented here — the scheduler grants a same-tick turn for
     /// those separately.
-    pub fn wake_deadline(&self, now: u64, tick: u64, lease_timeout: u64) -> Option<u64> {
+    pub fn wake_deadline(&self, now: u64) -> Option<u64> {
         if self.status != NodeStatus::Running {
             return None;
         }
@@ -183,7 +184,7 @@ impl Node {
         let mut consider = |d: u64| next = Some(next.map_or(d, |n| d.min(n)));
         if !self.proto.fenced() {
             // (a) Lease expiry: the first tick check_lease can fence.
-            consider(self.proto.lease_deadline(lease_timeout));
+            consider(self.proto.lease_deadline(LEASE_TIMEOUT));
             // (g) Earliest suspicion-ladder transition or probe.
             if let Some(d) = self.monitor.next_deadline() {
                 consider(d);
@@ -195,7 +196,7 @@ impl Node {
                     continue;
                 }
                 consider(if now >= g.start_at {
-                    now + tick
+                    now + TICK
                 } else {
                     g.start_at
                 });

@@ -15,7 +15,7 @@
 //!
 //! * Every node heartbeats all peers at its guest's safe-point syscalls
 //!   (plus an idle daemon beat when the guest is quiet), and replicates
-//!   an [`ArchSnapshot`] of its own workload every `snapshot_every`
+//!   an [`ArchSnapshot`] of its own workload every `SNAPSHOT_EVERY`
 //!   safe points.
 //! * The per-node [`PeerMonitor`](rse_modules::PeerMonitor) escalates
 //!   a quiet peer Alive → Suspect → (probes with exponential backoff) →
@@ -25,12 +25,12 @@
 //!   bumping the workload's fencing epoch, adopting the newest
 //!   replicated snapshot, sending the victim a [`Payload::Fence`]
 //!   order, and broadcasting [`Payload::Announce`] to the rest.
-//! * The adopted guest only starts `fence_grace` cycles later, covering
+//! * The adopted guest only starts `FENCE_GRACE` cycles later, covering
 //!   the fence order's network delay so victim and successor never
 //!   execute the same workload concurrently.
-//! * A node that loses *all* inbound traffic for `lease_timeout` cycles
+//! * A node that loses *all* inbound traffic for `LEASE_TIMEOUT` cycles
 //!   self-fences (probable partition): it stops executing guests and
-//!   stops declaring peers. `lease_timeout` is strictly below the
+//!   stops declaring peers. `LEASE_TIMEOUT` is strictly below the
 //!   suspicion ladder's detection latency, so a partitioned node fences
 //!   itself before any survivor can have adopted its workload.
 //! * A self-fenced node that regains contact petitions
@@ -44,7 +44,21 @@
 //! deliveries in `(deliver_at, send seq)` order, and monitor events in
 //! sorted peer order; every random draw happens inside
 //! [`crate::Network::send`] in that deterministic send order. Hence the
-//! whole fleet history is a pure function of `(config, seed, fault)`.
+//! whole fleet history is a pure function of `(nodes, seed, fault)`.
+//!
+//! # Timing
+//!
+//! Every timing parameter is a constant of this module, and a caller
+//! chooses only [`FleetConfig::nodes`] and [`FleetConfig::scheduler`].
+//! The rules the protocol's safety rests on are `const` assertions
+//! next to the constants, so a retuned constant that breaks one fails
+//! the build:
+//!
+//! * `TICK > 0`, and the monitor's `sample_interval <= TICK`;
+//! * `LEASE_TIMEOUT` (1,800) is below the ladder's shortest detection
+//!   time, `min_timeout + probe_base × (1 + 2 + 4)` = 3,292;
+//! * `FENCE_GRACE` (256) outlasts a fence order's flight plus the grid
+//!   tick its receiver reads it on.
 //!
 //! # Event-driven scheduling
 //!
@@ -73,7 +87,7 @@
 
 use crate::event::{align_up, EventQueue};
 use crate::fault::{FleetProfile, NodeFault};
-use crate::net::{Message, NetConfig, NetStats, Network, Payload};
+use crate::net::{Message, NetStats, Network, Payload, MAX_DELAY};
 use crate::node::{Guest, Node, NodeStatus};
 use crate::protocol::ProtoMsg;
 use crate::NodeId;
@@ -105,37 +119,67 @@ enum SimEvent {
     Wake(NodeId),
 }
 
-/// Fleet topology, timing, and protocol parameters.
+/// Tick length: guest cycles advanced per simulation step.
+pub(crate) const TICK: u64 = 64;
+/// Extra cycles simulated after every workload resolved (lets late
+/// suspicion events surface before classification).
+const SETTLE: u64 = 6_000;
+/// The control run's cycle budget; exhausted ⇒ the fleet is declared
+/// hung. A fault run's budget scales with the control run
+/// ([`fault_budget`]).
+const PROFILE_BUDGET: u64 = 600_000;
+/// Replicate a snapshot every this many safe points.
+const SNAPSHOT_EVERY: u32 = 4;
+/// Idle-daemon heartbeat period (fallback when the guest is quiet).
+const IDLE_BEAT_INTERVAL: u64 = 288;
+/// Contact-lease timeout: a node with no inbound traffic for this long
+/// self-fences. The petition backoff of a self-fenced node reuses it.
+pub(crate) const LEASE_TIMEOUT: u64 = 1_800;
+/// Delay before an adopted guest starts executing (covers the fence
+/// order's network delay).
+const FENCE_GRACE: u64 = 256;
+/// Slack added to a fault's active window when judging whether a Dead
+/// declaration was justified by that fault.
+const JUSTIFY_MARGIN: u64 = 8_000;
+/// Every node's remote-peer monitor.
+pub(crate) const PEER: PeerConfig = PeerConfig {
+    ahbm: AhbmConfig {
+        sample_interval: 64,
+        min_timeout: 1_500,
+        initial_timeout: 4_000,
+        ..AhbmConfig::DEFAULT
+    },
+    probe_base: 256,
+    max_probes: 3,
+};
+
+// The event engine visits only grid ticks, and the monitor's sample
+// gate passes on every grid tick only when its interval fits in a
+// tick: a coarser interval would make the skipped samples observable.
+const _: () = assert!(TICK > 0);
+const _: () = assert!(PEER.ahbm.sample_interval <= TICK);
+// A partitioned node self-fences before the suspicion ladder can
+// declare it Dead (`min_timeout`, then `max_probes` probes backing off
+// `probe_base << n`), so no survivor adopts a workload it still runs.
+const _: () =
+    assert!(LEASE_TIMEOUT < PEER.ahbm.min_timeout + PEER.probe_base * ((1 << PEER.max_probes) - 1));
+// The fence order lands at most `MAX_DELAY` after the declaration and
+// is read on the next grid tick, before the adopted guest starts.
+const _: () = assert!(FENCE_GRACE > MAX_DELAY + TICK);
+
+/// The cycle budget of a fault run: headroom over the control run for
+/// slowed guests (factor ≤ 4) plus detection and settle tails.
+fn fault_budget(profile: &FleetProfile) -> u64 {
+    PROFILE_BUDGET.max(profile.run_cycles * 6 + 60_000)
+}
+
+/// What a fleet run lets its caller choose. Every timing parameter is
+/// a constant (see the module docs, *Timing*).
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     /// Number of nodes (each hosts one workload; ≥ 3 for a meaningful
     /// coordinator election).
     pub nodes: u16,
-    /// Tick length: guest cycles advanced per simulation step.
-    pub tick: u64,
-    /// Extra cycles simulated after every workload resolved (lets
-    /// late suspicion events surface before classification).
-    pub settle: u64,
-    /// Hard cycle budget; exhausted ⇒ the fleet is declared hung.
-    pub budget: u64,
-    /// Replicate a snapshot every this many safe points.
-    pub snapshot_every: u32,
-    /// Idle-daemon heartbeat period (fallback when the guest is quiet).
-    pub idle_beat_interval: u64,
-    /// Contact-lease timeout: a node with no inbound traffic for this
-    /// long self-fences. Must be below the suspicion ladder's
-    /// detection latency (timeout + probe backoff sum).
-    pub lease_timeout: u64,
-    /// Delay before an adopted guest starts executing (covers the
-    /// fence order's network delay).
-    pub fence_grace: u64,
-    /// Slack added to a fault's active window when judging whether a
-    /// Dead declaration was justified by that fault.
-    pub justify_margin: u64,
-    /// Remote-peer monitor parameters.
-    pub peer: PeerConfig,
-    /// Network timing/loss parameters.
-    pub net: NetConfig,
     /// Execution engine (event-driven by default).
     pub scheduler: Scheduler,
 }
@@ -144,25 +188,6 @@ impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
             nodes: 5,
-            tick: 64,
-            settle: 6_000,
-            budget: 600_000,
-            snapshot_every: 4,
-            idle_beat_interval: 288,
-            lease_timeout: 1_800,
-            fence_grace: 256,
-            justify_margin: 8_000,
-            peer: PeerConfig {
-                ahbm: AhbmConfig {
-                    sample_interval: 64,
-                    min_timeout: 1_500,
-                    initial_timeout: 4_000,
-                    ..AhbmConfig::default()
-                },
-                probe_base: 256,
-                max_probes: 3,
-            },
-            net: NetConfig::default(),
             scheduler: Scheduler::Event,
         }
     }
@@ -187,6 +212,8 @@ pub struct FleetOutcome {
 /// One fleet instance mid-flight.
 pub struct FleetSim {
     cfg: FleetConfig,
+    /// Cycle budget; exhausted ⇒ the fleet is declared hung.
+    budget: u64,
     workload: &'static Workload,
     net: Network,
     nodes: Vec<Node>,
@@ -211,11 +238,11 @@ pub struct FleetSim {
 impl FleetSim {
     /// Creates a fleet running the shared beat-loop workload, with the
     /// given injected fault. `seed` drives the network's PRNG stream.
-    pub fn new(cfg: &FleetConfig, seed: u64, fault: NodeFault) -> FleetSim {
+    fn new(cfg: &FleetConfig, seed: u64, fault: NodeFault, budget: u64) -> FleetSim {
         assert!(cfg.nodes >= 2, "a fleet needs at least two nodes");
         let mut s = seed;
         let net_seed = splitmix64(&mut s);
-        let mut net = Network::new(cfg.net, net_seed);
+        let mut net = Network::new(net_seed);
         match fault {
             NodeFault::Partition { node, from, dur } => net.add_partition(node, from, from + dur),
             NodeFault::BeatLoss { node, from, dur } => net.add_beat_loss(node, from, from + dur),
@@ -223,10 +250,11 @@ impl FleetSim {
         }
         let w = fleet_workload();
         let nodes = (0..cfg.nodes)
-            .map(|id| Node::new(id, cfg.nodes, w, cfg.peer))
+            .map(|id| Node::new(id, cfg.nodes, w))
             .collect();
         FleetSim {
             cfg: *cfg,
+            budget,
             workload: w,
             net,
             nodes,
@@ -243,16 +271,6 @@ impl FleetSim {
             split_brain: false,
             resolved_at: None,
         }
-    }
-
-    /// Global cycle counter.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Immutable node access (tests, classification).
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[usize::from(id)]
     }
 
     /// Applies the injected fault once its cycle is reached.
@@ -337,8 +355,7 @@ impl FleetSim {
     /// schedules a delivery event for each).
     fn node_turn(&mut self, i: usize) -> Vec<u64> {
         let now = self.now;
-        let cfg = self.cfg;
-        let n = cfg.nodes;
+        let n = self.cfg.nodes;
         let mut outbox: Vec<Message> = Vec::new();
         let mut adoptions: Vec<NodeId> = Vec::new();
         {
@@ -349,11 +366,11 @@ impl FleetSim {
             let id = node.id;
 
             // (a) Contact lease: no inbound for too long ⇒ self-fence.
-            node.proto.check_lease(now, cfg.lease_timeout);
+            node.proto.check_lease(now, LEASE_TIMEOUT);
 
             // (b) Regained contact while self-fenced ⇒ petition to rejoin
             // (the petition backoff reuses the lease timeout).
-            if node.proto.should_petition(now, cfg.lease_timeout) {
+            if node.proto.should_petition(now, LEASE_TIMEOUT) {
                 for p in 0..n {
                     if p != id {
                         outbox.push(Message {
@@ -403,7 +420,7 @@ impl FleetSim {
 
             // (e) Advance hosted guests (fenced nodes execute nothing).
             if !node.proto.fenced() {
-                let quantum = (cfg.tick / node.slow_factor.max(1)).max(1);
+                let quantum = (TICK / node.slow_factor.max(1)).max(1);
                 for g in node.guests.iter_mut() {
                     if g.done || now < g.start_at {
                         continue;
@@ -411,7 +428,7 @@ impl FleetSim {
                     // Omniscient split-brain check: executing a workload
                     // someone else owns, outside the fencing grace window.
                     let w = usize::from(g.owner);
-                    if self.owners[w] != id && now > self.moved_at[w] + cfg.fence_grace {
+                    if self.owners[w] != id && now > self.moved_at[w] + FENCE_GRACE {
                         self.split_brain = true;
                     }
                     match g.cpu.run(&mut g.engine, quantum) {
@@ -430,8 +447,8 @@ impl FleetSim {
                                     }
                                 }
                                 node.next_idle_beat =
-                                    now + cfg.idle_beat_interval * node.slow_factor.max(1);
-                                if g.safe_points % cfg.snapshot_every == 0 {
+                                    now + IDLE_BEAT_INTERVAL * node.slow_factor.max(1);
+                                if g.safe_points % SNAPSHOT_EVERY == 0 {
                                     let ctx = g.cpu.context();
                                     let snap = ArchSnapshot::capture(
                                         &ctx.regs,
@@ -484,7 +501,7 @@ impl FleetSim {
                         });
                     }
                 }
-                node.next_idle_beat = now + cfg.idle_beat_interval * node.slow_factor.max(1);
+                node.next_idle_beat = now + IDLE_BEAT_INTERVAL * node.slow_factor.max(1);
             }
 
             // (g) Failure suspicion (fenced nodes must not declare).
@@ -544,13 +561,8 @@ impl FleetSim {
             for p in adoptions {
                 match node.snapshots.get(&p) {
                     Some(&(seq, ref snap)) => {
-                        let g = Guest::from_snapshot(
-                            p,
-                            self.workload,
-                            snap,
-                            seq,
-                            now + cfg.fence_grace,
-                        );
+                        let g =
+                            Guest::from_snapshot(p, self.workload, snap, seq, now + FENCE_GRACE);
                         node.guests.push(g);
                     }
                     None => self.unrecoverable = true,
@@ -598,13 +610,13 @@ impl FleetSim {
             {
                 self.resolved_at = Some(self.now);
             }
-            self.now += self.cfg.tick;
+            self.now += TICK;
             if let Some(r) = self.resolved_at {
-                if self.now >= r + self.cfg.settle {
+                if self.now >= r + SETTLE {
                     break;
                 }
             }
-            if self.now >= self.cfg.budget {
+            if self.now >= self.budget {
                 break;
             }
         }
@@ -614,15 +626,6 @@ impl FleetSim {
     /// which the lockstep loop could change state (see the module docs
     /// for the equivalence argument); produces a byte-identical history.
     fn run_event(&mut self) {
-        let tick = self.cfg.tick;
-        assert!(tick > 0, "tick must be positive");
-        // The monitor's internal sample gate passes on every grid tick
-        // only when its interval fits in a tick; a coarser interval
-        // would make skipped samples observable.
-        assert!(
-            self.cfg.peer.ahbm.sample_interval <= tick,
-            "event engine requires sample_interval <= tick"
-        );
         let mut q: EventQueue<SimEvent> = EventQueue::new();
         // Lockstep's first iteration gives every node a turn at tick 0.
         for id in 0..self.cfg.nodes {
@@ -630,9 +633,9 @@ impl FleetSim {
         }
         match self.fault {
             NodeFault::Crash { at, .. } | NodeFault::Hang { at, .. } => {
-                q.push(align_up(at, tick), SimEvent::Fault);
+                q.push(align_up(at, TICK), SimEvent::Fault);
             }
-            NodeFault::Slow { from, .. } => q.push(align_up(from, tick), SimEvent::Fault),
+            NodeFault::Slow { from, .. } => q.push(align_up(from, TICK), SimEvent::Fault),
             // Network faults were installed at construction.
             NodeFault::Partition { .. } | NodeFault::BeatLoss { .. } | NodeFault::None => {}
         }
@@ -640,10 +643,10 @@ impl FleetSim {
             // Lockstep processes tick t iff its break check at now = t
             // failed: t under budget and (still unresolved or) inside
             // the settle window.
-            if t >= self.cfg.budget {
+            if t >= self.budget {
                 break;
             }
-            if self.resolved_at.is_some_and(|r| t >= r + self.cfg.settle) {
+            if self.resolved_at.is_some_and(|r| t >= r + SETTLE) {
                 break;
             }
             self.now = t;
@@ -663,7 +666,7 @@ impl FleetSim {
             for id in turns {
                 let i = usize::from(id);
                 for at in self.node_turn(i) {
-                    q.push(align_up(at, tick), SimEvent::Deliver);
+                    q.push(align_up(at, TICK), SimEvent::Deliver);
                 }
                 self.schedule_wake(i, &mut q);
             }
@@ -681,10 +684,10 @@ impl FleetSim {
         // idles through event-free ticks; only hung-run classification
         // reads this).
         let limit = match self.resolved_at {
-            Some(r) => (r + self.cfg.settle).min(self.cfg.budget),
-            None => self.cfg.budget,
+            Some(r) => (r + SETTLE).min(self.budget),
+            None => self.budget,
         };
-        self.now = align_up(limit, tick);
+        self.now = align_up(limit, TICK);
     }
 
     /// Schedules node `i`'s next wake: the earliest of its deadlines
@@ -695,19 +698,18 @@ impl FleetSim {
     /// node's next state change.
     fn schedule_wake(&mut self, i: usize, q: &mut EventQueue<SimEvent>) {
         let now = self.now;
-        let tick = self.cfg.tick;
         let node = &self.nodes[i];
-        if let Some(d) = node.wake_deadline(now, tick, self.cfg.lease_timeout) {
+        if let Some(d) = node.wake_deadline(now) {
             // Post-turn deadlines are strictly future; the clamp only
             // guards against a same-tick self-wake loop.
-            q.push(align_up(d, tick).max(now + tick), SimEvent::Wake(node.id));
+            q.push(align_up(d, TICK).max(now + TICK), SimEvent::Wake(node.id));
         }
     }
 
     /// Whether a Dead declaration `(declarer, target, at)` is justified
     /// by the injected ground-truth fault.
     fn declaration_justified(&self, declarer: NodeId, target: NodeId, at: u64) -> bool {
-        let margin = self.cfg.justify_margin;
+        let margin = JUSTIFY_MARGIN;
         match self.fault {
             NodeFault::Crash { node, .. } | NodeFault::Hang { node, .. } => node == target,
             NodeFault::Partition { node, from, dur } => {
@@ -789,7 +791,7 @@ impl FleetSim {
     /// the fault sampler scales to. Panics if the control run itself
     /// misbehaves (suspicion, missing snapshot, digest divergence).
     pub fn profile(cfg: &FleetConfig, seed: u64) -> FleetProfile {
-        let mut sim = FleetSim::new(cfg, seed, NodeFault::None);
+        let mut sim = FleetSim::new(cfg, seed, NodeFault::None, PROFILE_BUDGET);
         sim.run_raw();
         assert!(
             sim.declarations.is_empty(),
@@ -818,15 +820,16 @@ impl FleetSim {
         }
     }
 
-    /// Runs one faulty fleet to completion and classifies it against
-    /// the control profile.
+    /// Runs one faulty fleet to completion, within a cycle budget
+    /// derived from the control profile, and classifies it against
+    /// that profile.
     pub fn run(
         cfg: &FleetConfig,
         seed: u64,
         fault: NodeFault,
         profile: &FleetProfile,
     ) -> FleetOutcome {
-        let mut sim = FleetSim::new(cfg, seed, fault);
+        let mut sim = FleetSim::new(cfg, seed, fault, fault_budget(profile));
         sim.run_raw();
         sim.classify(profile.golden_digest)
     }

@@ -157,17 +157,11 @@ pub fn run_soak_with(spec: &FleetSpec, scheduler: Scheduler) -> Vec<RunRecord> {
     let cfg = FleetConfig {
         nodes: spec.nodes,
         scheduler,
-        ..FleetConfig::default()
     };
     let mut p = spec.base_seed ^ fnv1a64(b"fleet-profile");
     let profile_seed = splitmix64(&mut p);
     let profile = FleetSim::profile(&cfg, profile_seed);
     verify_profile_on_golden(&profile);
-    // Headroom for slowed guests (factor ≤ 4) plus detection/settle tails.
-    let cfg = FleetConfig {
-        budget: cfg.budget.max(profile.run_cycles * 6 + 60_000),
-        ..cfg
-    };
     let mut records = Vec::with_capacity(spec.total_runs() as usize);
     for cell in &spec.cells {
         for run in 0..cell.runs {

@@ -175,7 +175,8 @@ pub struct FleetModel {
     pub n: u16,
     /// Contact-lease timeout in ticks (must sit below `detect_after`
     /// so an isolated node self-fences before anyone declares it dead
-    /// — the invariant the real `FleetConfig` documents).
+    /// — the invariant the real fleet's `LEASE_TIMEOUT` `const`
+    /// assertion checks).
     pub lease_timeout: u64,
     /// Consecutive silent ticks after which a peer is declared Dead.
     pub detect_after: u64,

@@ -84,6 +84,16 @@ pub const fn q16(num: u32, den: u32) -> u32 {
 }
 
 impl AhbmConfig {
+    /// The [`Default`] configuration, usable in `const` items.
+    pub const DEFAULT: AhbmConfig = AhbmConfig {
+        sample_interval: 256,
+        alpha_q16: q16(1, 8),
+        beta_q16: q16(1, 4),
+        k_q16: q16(4, 1),
+        min_timeout: 512,
+        initial_timeout: 100_000,
+    };
+
     /// Converts the rational `num/den` to Q16.16 fixed point.
     pub const fn q16(num: u32, den: u32) -> u32 {
         q16(num, den)
@@ -92,14 +102,7 @@ impl AhbmConfig {
 
 impl Default for AhbmConfig {
     fn default() -> AhbmConfig {
-        AhbmConfig {
-            sample_interval: 256,
-            alpha_q16: q16(1, 8),
-            beta_q16: q16(1, 4),
-            k_q16: q16(4, 1),
-            min_timeout: 512,
-            initial_timeout: 100_000,
-        }
+        AhbmConfig::DEFAULT
     }
 }
 
@@ -648,12 +651,6 @@ impl PeerMonitor {
     /// Drains the pending events (in generation order).
     pub fn take_events(&mut self) -> Vec<PeerEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// The configured sampling interval (event schedulers assert it
-    /// against their grid).
-    pub fn sample_interval(&self) -> u64 {
-        self.config.ahbm.sample_interval
     }
 
     /// The earliest future cycle at which a [`PeerMonitor::sample`] call

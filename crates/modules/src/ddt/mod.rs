@@ -36,8 +36,9 @@ use std::any::Any;
 /// base address of the page to checkpoint.
 pub const SAVE_PAGE_EXCEPTION: u32 = 1;
 
-/// Maximum thread count N: the DDM is N×N (§4.2.1).
-const MAX_THREADS: usize = 64;
+/// Maximum thread count N: the DDM is N×N (§4.2.1). The guest OS caps
+/// a process at this many threads.
+pub const MAX_THREADS: usize = 64;
 
 /// Hot-page capacity of the Page Status Table (§4.2.1).
 const PST_CAPACITY: usize = 4096;

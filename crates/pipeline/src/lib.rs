@@ -62,5 +62,5 @@ pub use coproc::{
 pub use exec::exec_alu;
 pub use golden::{Golden, GoldenEvent};
 pub use machine::{CpuContext, FetchFault, FetchTamper, Pipeline, SoftFault, StepEvent};
-pub use predictor::{Predictor, PredictorConfig};
+pub use predictor::Predictor;
 pub use stats::PipelineStats;

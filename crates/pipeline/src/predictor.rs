@@ -3,26 +3,16 @@
 
 use rse_isa::{Inst, InstClass};
 
-/// Predictor sizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictorConfig {
-    /// Entries in the bimodal 2-bit-counter table (power of two).
-    pub bimodal_entries: usize,
-    /// Entries in the direct-mapped branch target buffer (power of two).
-    pub btb_entries: usize,
-    /// Return-address-stack depth.
-    pub ras_depth: usize,
-}
+/// Entries in the bimodal 2-bit-counter table.
+const BIMODAL_ENTRIES: usize = 2048;
+/// Entries in the direct-mapped branch target buffer.
+const BTB_ENTRIES: usize = 512;
+/// Return-address-stack depth.
+const RAS_DEPTH: usize = 8;
 
-impl Default for PredictorConfig {
-    fn default() -> PredictorConfig {
-        PredictorConfig {
-            bimodal_entries: 2048,
-            btb_entries: 512,
-            ras_depth: 8,
-        }
-    }
-}
+// Both tables are indexed by masking PC bits.
+const _: () = assert!(BIMODAL_ENTRIES.is_power_of_two());
+const _: () = assert!(BTB_ENTRIES.is_power_of_two());
 
 /// The fetch-stage branch predictor.
 ///
@@ -33,7 +23,6 @@ impl Default for PredictorConfig {
 /// * other `jr`/`jalr`: target from the BTB (mispredicts until trained).
 #[derive(Debug, Clone)]
 pub struct Predictor {
-    config: PredictorConfig,
     counters: Vec<u8>,
     btb: Vec<(u32, u32)>, // (branch pc, target); pc==u32::MAX means empty
     ras: Vec<u32>,
@@ -44,30 +33,12 @@ pub struct Predictor {
 }
 
 impl Predictor {
-    /// Creates a predictor with all counters weakly-not-taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if table sizes are not powers of two.
-    pub fn new(config: PredictorConfig) -> Predictor {
-        assert!(config.bimodal_entries.is_power_of_two());
-        assert!(config.btb_entries.is_power_of_two());
-        Predictor {
-            config,
-            counters: vec![1; config.bimodal_entries],
-            btb: vec![(u32::MAX, 0); config.btb_entries],
-            ras: Vec::with_capacity(config.ras_depth),
-            lookups: 0,
-            updates: 0,
-        }
-    }
-
     fn counter_index(&self, pc: u32) -> usize {
-        ((pc >> 2) as usize) & (self.config.bimodal_entries - 1)
+        ((pc >> 2) as usize) & (BIMODAL_ENTRIES - 1)
     }
 
     fn btb_index(&self, pc: u32) -> usize {
-        ((pc >> 2) as usize) & (self.config.btb_entries - 1)
+        ((pc >> 2) as usize) & (BTB_ENTRIES - 1)
     }
 
     /// Predicts the next fetch PC after `inst` at `pc`. Also performs the
@@ -107,7 +78,7 @@ impl Predictor {
     }
 
     fn push_ras(&mut self, return_addr: u32) {
-        if self.ras.len() == self.config.ras_depth {
+        if self.ras.len() == RAS_DEPTH {
             self.ras.remove(0);
         }
         self.ras.push(return_addr);
@@ -140,8 +111,15 @@ impl Predictor {
 }
 
 impl Default for Predictor {
+    /// A predictor with all counters weakly-not-taken.
     fn default() -> Predictor {
-        Predictor::new(PredictorConfig::default())
+        Predictor {
+            counters: vec![1; BIMODAL_ENTRIES],
+            btb: vec![(u32::MAX, 0); BTB_ENTRIES],
+            ras: Vec::with_capacity(RAS_DEPTH),
+            lookups: 0,
+            updates: 0,
+        }
     }
 }
 
@@ -208,11 +186,8 @@ mod tests {
 
     #[test]
     fn ras_depth_bounded() {
-        let mut p = Predictor::new(PredictorConfig {
-            ras_depth: 2,
-            ..Default::default()
-        });
-        for i in 0..5u32 {
+        let mut p = Predictor::default();
+        for i in 0..RAS_DEPTH as u32 + 3 {
             p.predict_next(
                 0x100 + 8 * i,
                 &Inst::Jal {
@@ -220,6 +195,6 @@ mod tests {
                 },
             );
         }
-        assert_eq!(p.ras.len(), 2);
+        assert_eq!(p.ras.len(), RAS_DEPTH);
     }
 }

@@ -15,7 +15,7 @@ use crate::loader::thread_stack_pointer;
 use crate::recovery::{self, RecoveryOutcome};
 use rse_core::Engine;
 use rse_isa::{layout, syscalls, ModuleId, Reg};
-use rse_modules::ddt::{Ddt, SAVE_PAGE_EXCEPTION};
+use rse_modules::ddt::{Ddt, MAX_THREADS, SAVE_PAGE_EXCEPTION};
 use rse_pipeline::{CoprocException, CpuContext, Pipeline, StepEvent};
 use std::collections::HashMap;
 
@@ -65,36 +65,29 @@ pub enum OsExit {
     },
 }
 
-/// OS configuration.
+/// Cycle cost charged for a context switch.
+const CONTEXT_SWITCH_CYCLES: u64 = 150;
+/// Cycles a thread blocks receiving one network request.
+const NET_RECV_LATENCY: u64 = 1500;
+/// Cycles a thread blocks sending one response.
+const NET_SEND_LATENCY: u64 = 800;
+
+/// OS configuration. A process holds at most the DDT's
+/// [`MAX_THREADS`] threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OsConfig {
-    /// Cycle cost charged for a context switch.
-    pub context_switch_cycles: u64,
-    /// Cycles a thread blocks receiving one network request.
-    pub net_recv_latency: u64,
-    /// Cycles a thread blocks sending one response.
-    pub net_send_latency: u64,
     /// Cycles the process freezes while the SavePage handler checkpoints
     /// one page (a 4 KB read+write through memory).
     pub page_save_cycles: u64,
     /// Number of network requests the request source will deliver.
     pub num_requests: u64,
-    /// Maximum number of threads.
-    pub max_threads: usize,
-    /// Checkpoint-store configuration.
-    pub checkpoints: CheckpointConfig,
 }
 
 impl Default for OsConfig {
     fn default() -> OsConfig {
         OsConfig {
-            context_switch_cycles: 150,
-            net_recv_latency: 1500,
-            net_send_latency: 800,
             page_save_cycles: 3000,
             num_requests: 0,
-            max_threads: 64,
-            checkpoints: CheckpointConfig::default(),
         }
     }
 }
@@ -156,7 +149,7 @@ impl Os {
             }],
             current: 0,
             locks: HashMap::new(),
-            checkpoints: CheckpointStore::new(config.checkpoints),
+            checkpoints: CheckpointStore::new(CheckpointConfig::default()),
             output: Vec::new(),
             strings: Vec::new(),
             requests_issued: 0,
@@ -260,7 +253,7 @@ impl Os {
                 cpu.resume(None);
             }
             syscalls::THREAD_SPAWN => {
-                if self.threads.len() >= self.config.max_threads {
+                if self.threads.len() >= MAX_THREADS {
                     cpu.set_reg(Reg::V0, u32::MAX);
                     cpu.resume(None);
                 } else {
@@ -294,7 +287,7 @@ impl Os {
                     let req = self.requests_issued as u32;
                     self.requests_issued += 1;
                     self.stats.requests_delivered += 1;
-                    let until = cpu.now() + self.config.net_recv_latency;
+                    let until = cpu.now() + NET_RECV_LATENCY;
                     self.threads[self.current].state = ThreadState::Blocked { until };
                     return self.schedule(cpu, engine, Some(req));
                 }
@@ -303,7 +296,7 @@ impl Os {
             }
             syscalls::NET_SEND => {
                 self.stats.responses_sent += 1;
-                let until = cpu.now() + self.config.net_send_latency;
+                let until = cpu.now() + NET_SEND_LATENCY;
                 self.threads[self.current].state = ThreadState::Blocked { until };
                 return self.schedule(cpu, engine, Some(0));
             }
@@ -436,15 +429,13 @@ impl Os {
                 cpu.resume(None);
                 if switching {
                     self.stats.context_switches += 1;
-                    cpu.freeze_for(self.config.context_switch_cycles);
+                    cpu.freeze_for(CONTEXT_SWITCH_CYCLES);
                     // The kernel informs the DDT of the running thread
                     // (the DDT_SET_THREAD CHECK in its context-switch
                     // path).
                     if engine.is_enabled(ModuleId::DDT) {
                         if let Some(ddt) = engine.module_mut::<Ddt>(ModuleId::DDT) {
-                            if tid < self.config.max_threads {
-                                ddt.set_current_thread(tid);
-                            }
+                            ddt.set_current_thread(tid);
                         }
                     }
                 }
@@ -721,16 +712,13 @@ mod tests {
         w:      li   r2, 17
                 syscall
         "#;
-        let cfg = OsConfig {
-            max_threads: 8,
-            ..OsConfig::default()
-        };
-        let (mut cpu, mut engine, mut os) = setup(src, cfg);
+        let (mut cpu, mut engine, mut os) = setup(src, OsConfig::default());
         let exit = os.run(&mut cpu, &mut engine, 50_000_000);
         assert_eq!(exit, OsExit::Exited { code: 0 });
-        // Spawn failed before the 70 attempts ran out (7 children fit).
+        // Spawn failed before the 70 attempts ran out (63 children fit
+        // beside the main thread under the DDT's 64-thread cap).
         assert!(os.output[0] > 0);
-        assert_eq!(os.stats().threads_spawned, 7);
+        assert_eq!(os.stats().threads_spawned, 63);
     }
 
     #[test]

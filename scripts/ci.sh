@@ -229,6 +229,26 @@ diff -u tests/golden/fleet_soak_smoke.jsonl "$TMP/fleet_l" \
   || { echo "FAIL: lockstep engine diverges from the event-driven golden"; exit 1; }
 echo "lockstep fleet soak: byte-identical to the event-driven golden"
 
+echo "== 7-node fleet soak (a second fleet size, both engines, same golden)"
+# The fleet size is the soak's one size knob; this pins it at a second
+# value. Every node fault model runs 4 times on 7 nodes, on the event
+# and the lockstep engine, and each output must match the same golden.
+# Regenerate with:
+#   cargo run --release --offline -p rse-bench --bin fleet_soak -- \
+#     --seed 7 --nodes 7 --runs 4 --no-table --out tests/golden/fleet_soak_n7.jsonl
+cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
+  --seed 7 --nodes 7 --runs 4 --no-table --out "$TMP/n7_event" 2>/dev/null
+cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
+  --seed 7 --nodes 7 --runs 4 --no-table --lockstep --out "$TMP/n7_lock" 2>/dev/null
+for out in "$TMP/n7_event" "$TMP/n7_lock"; do
+  diff -u tests/golden/fleet_soak_n7.jsonl "$out" \
+    || { echo "FAIL: 7-node fleet soak diverges from pinned golden"; exit 1; }
+done
+if grep -Eq '"outcome":"(split-brain|false-suspicion)"' "$TMP/n7_event"; then
+  echo "FAIL: 7-node fleet soak observed split-brain or false suspicion"; exit 1
+fi
+echo "7-node fleet soak: both engines match golden, no split-brain/false-suspicion (28 runs)"
+
 echo "== 1k-node churn smoke campaign (chaos engine, fixed seed)"
 # Three 1,000-node runs: the availability control, a correlated rack
 # partition, and full weather (rolling restarts + rack cut + cascading

@@ -143,10 +143,6 @@ fn jsonl_seed_replays_one_record_exactly() {
     let mut p = spec.base_seed ^ rse_support::rng::fnv1a64(b"fleet-profile");
     let profile_seed = rse_support::rng::splitmix64(&mut p);
     let profile = FleetSim::profile(&cfg, profile_seed);
-    let cfg = FleetConfig {
-        budget: cfg.budget.max(profile.run_cycles * 6 + 60_000),
-        ..cfg
-    };
     let mut s = rec.seed;
     let fault_seed = rse_support::rng::splitmix64(&mut s);
     let sim_seed = rse_support::rng::splitmix64(&mut s);
